@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar, nnls
 
 from .errors import (
     DecompositionFailed,
@@ -77,17 +76,38 @@ class BsaResult:
     lam_trace: tuple[float, ...]
 
 
+# scipy.optimize costs about half a second to import, and only the NNLS
+# fallback of certify_by_subsets and BSA's pairwise pass need it, so it is
+# imported on first use.  Both names stay module attributes that callers
+# (and tracers) can look up or replace.
+
+def nnls(*args, **kwargs):
+    """``scipy.optimize.nnls``, imported on the first call."""
+    from scipy.optimize import nnls as _nnls
+
+    return _nnls(*args, **kwargs)
+
+
+def minimize_scalar(*args, **kwargs):
+    """``scipy.optimize.minimize_scalar``, imported on the first call."""
+    from scipy.optimize import minimize_scalar as _minimize_scalar
+
+    return _minimize_scalar(*args, **kwargs)
+
+
 def _diagnostics(s: BipartiteState, tol: Tolerances) -> dict:
-    pt = partial_transpose(s)
+    mn = s.dim_a * s.dim_b
+    rank = numerical_rank(s.rho, tol)
+    rank_ta = numerical_rank(partial_transpose(s), tol)
     return {
         "dims": [s.dim_a, s.dim_b],
         "trace": s.trace,
-        "rank": numerical_rank(s.rho, tol),
-        "rank_ta": numerical_rank(pt, tol),
+        "rank": rank,
+        "rank_ta": rank_ta,
         "local_rank_a": numerical_rank(reduced_a(s), tol),
         "local_rank_b": numerical_rank(reduced_b(s), tol),
-        "kernel_dim": s.dim_a * s.dim_b - numerical_rank(s.rho, tol),
-        "kernel_dim_ta": s.dim_a * s.dim_b - numerical_rank(pt, tol),
+        "kernel_dim": mn - rank,
+        "kernel_dim_ta": mn - rank_ta,
     }
 
 
@@ -507,6 +527,7 @@ def separability_check(
         except (NonGeneric, RankSumTooHigh) as exc:
             diag["eligible_error"] = str(exc)
             return Verdict(INCONCLUSIVE, "NonGeneric", None, diag)
+        diag["method"] = "eligible_vectors"
         diag["eligible_count"] = len(es.vectors)
         diag["eligible_exhaustive"] = es.exhaustive
         verdict = certify_by_subsets(sc, es, tol, subset_budget, bsa_max_iters, threads)

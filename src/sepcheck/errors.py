@@ -45,12 +45,12 @@ class RankSumTooHigh(SepcheckError):
     """Kernel dimensions too small for the product-vector search to apply."""
 
 
-class DegenerateRowChoice(SepcheckError):
-    """Every candidate base-row subset is identically dependent as polynomials."""
-
-
 class NonGeneric(SepcheckError):
     """Polynomial elimination degenerated; the solution set may be infinite."""
+
+
+class DegenerateRowChoice(NonGeneric):
+    """Every candidate base-row subset is identically dependent as polynomials."""
 
 
 class PreconditionFailed(SepcheckError):

@@ -17,6 +17,7 @@ from sepcheck.fixtures import (
     haar_vector,
     maximally_mixed,
     random_separable,
+    random_separable_rank_deficient,
     tiles_upb_state,
     tiles_vectors,
     werner_family,
@@ -221,6 +222,7 @@ class TestPipeline:
         verdict = separability_check(tiles_upb_state(), seed=11)
         assert verdict.status == "Entangled"
         assert verdict.reason == "NoEligibleVectors"
+        assert verdict.diagnostics["method"] == "eligible_vectors"
 
     def test_spectral_ball_path(self):
         verdict = separability_check(maximally_mixed(2, 2))
@@ -233,6 +235,7 @@ class TestPipeline:
         verdict = separability_check(st, seed=12)
         assert verdict.status == "Separable"
         assert verdict.certificate.residual <= 1e-8
+        assert verdict.diagnostics["method"] == "eligible_vectors"
 
     def test_certificate_respects_caratheodory_bound(self):
         for seed in (13, 14):
@@ -295,6 +298,15 @@ class TestPipelineEdges:
         verdict = separability_check(st, seed=0)
         assert verdict.status == "Inconclusive"
         assert verdict.reason == "BudgetExhausted"
+
+    def test_degenerate_rows_are_inconclusive(self):
+        # the extra terms sit on a product pencil, so the compressed 2x2
+        # state's kernel rows are identically dependent as polynomials
+        st, _ = random_separable_rank_deficient((2, 3), 3, 4, seed=5)
+        verdict = separability_check(st, seed=0)
+        assert verdict.status == "Inconclusive"
+        assert verdict.reason == "NonGeneric"
+        assert "identically dependent" in verdict.diagnostics["eligible_error"]
 
     def test_bsa_nonconvergence_flag(self):
         st, dec = random_separable(GeneratorSpec(dims=(3, 3), term_count=5, seed=41))

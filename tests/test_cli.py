@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sepcheck
 from sepcheck.cli import main
 from sepcheck.state import load_state
 
@@ -174,3 +177,62 @@ class TestOtherCommands:
         c = tmp_path / "c.json"
         main(["generate", str(c), "--dims", "2", "2", "--terms", "2", "--seed", "11"])
         assert a.read_bytes() == c.read_bytes()
+
+
+class TestStartUp:
+    # Runs ``python -m sepcheck.cli <args>`` (or only ``import sepcheck.cli``
+    # when there are no args) and reports whether scipy.optimize was loaded
+    # by the time the command finished.
+    PROBE = (
+        "import json, runpy, sys\n"
+        "code = 0\n"
+        "if len(sys.argv) > 1:\n"
+        "    try:\n"
+        "        runpy.run_module('sepcheck.cli', run_name='__main__', alter_sys=True)\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "else:\n"
+        "    import sepcheck.cli\n"
+        "print(json.dumps([code, 'scipy.optimize' in sys.modules]))\n"
+    )
+
+    def _probe(self, args):
+        src = str(Path(sepcheck.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_commands_do_not_load_scipy_optimize(self, separable_doc, tmp_path):
+        commands = [
+            [],
+            ["generate", str(tmp_path / "g.json"), "--dims", "2", "2", "--terms", "2"],
+            ["inspect", str(separable_doc)],
+            ["ppt", str(separable_doc)],
+            ["certify", str(separable_doc), "--seed", "7"],
+        ]
+        for args in commands:
+            assert self._probe(args) == [0, False], args
+
+    def test_lazy_optimizers_match_scipy(self):
+        import scipy.optimize
+
+        import sepcheck.certify as certify
+
+        a = np.array([[1.0, 0.5], [0.2, 1.0], [0.3, -0.4]])
+        b = np.array([1.0, -2.0, 0.5])
+        ours, ref = certify.nnls(a, b), scipy.optimize.nnls(a, b)
+        assert np.array_equal(ours[0], ref[0]) and ours[1] == ref[1]
+
+        def f(t):
+            return (t - 0.3) ** 2
+
+        kwargs = {"bounds": (0.0, 1.0), "method": "bounded",
+                  "options": {"maxiter": 40, "xatol": 1e-10}}
+        ours = certify.minimize_scalar(f, **kwargs)
+        ref = scipy.optimize.minimize_scalar(f, **kwargs)
+        assert (ours.x, ours.fun, ours.nfev) == (ref.x, ref.fun, ref.nfev)
