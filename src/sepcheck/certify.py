@@ -1,17 +1,15 @@
-"""Separability verdicts: prechecks, subset certification, BSA, pipeline.
+"""Separability verdicts: prechecks, NNLS certification, BSA, pipeline.
 
 The pipeline first compresses to the supported space and rules out NPT and
 rank-deficient (distillable) inputs.  Rank-N states are decomposed exactly;
 states inside the rank-sum window go through the eligible-vector search and
-a convex certificate is sought over subsets of the finite candidate set,
-with the best-separable-approximation iteration as the numerical fallback.
+one nonnegative least-squares solve over the finite candidate set decides
+whether the state is in the cone of its projectors.  The best-separable-
+approximation iteration is a separate stage, not part of this decision.
 """
 
 from __future__ import annotations
 
-import itertools
-import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,17 +74,44 @@ class BsaResult:
     lam_trace: tuple[float, ...]
 
 
-# scipy.optimize costs about half a second to import, and only the NNLS
-# fallback of certify_by_subsets and BSA's pairwise pass need it, so it is
-# imported on first use.  Both names stay module attributes that callers
-# (and tracers) can look up or replace.
+def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Nonnegative least squares, min ||a x - b|| over x >= 0.
 
-def nnls(*args, **kwargs):
-    """``scipy.optimize.nnls``, imported on the first call."""
-    from scipy.optimize import nnls as _nnls
+    The Lawson-Hanson active-set method, returning ``(x, rnorm)`` as
+    ``scipy.optimize.nnls`` does.  After 3 * columns outer iterations it
+    returns its current iterate, which is always nonnegative.
+    """
+    n = a.shape[1]
+    tol = 10.0 * max(a.shape) * np.finfo(float).eps * max(1.0, float(np.abs(a).sum(axis=0).max()))
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    for _ in range(3 * n):
+        grad = a.T @ (b - a @ x)
+        grad[passive] = -np.inf
+        j = int(np.argmax(grad))
+        if grad[j] <= tol:
+            break
+        passive[j] = True
+        while True:
+            z = np.zeros(n)
+            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            blocking = np.flatnonzero(passive & (z <= 0.0))
+            if blocking.size == 0:
+                break
+            # step back to the boundary: the first weight to reach zero leaves
+            # the passive set, so this loop ends after at most n solves
+            ratios = x[blocking] / np.maximum(x[blocking] - z[blocking], np.finfo(float).tiny)
+            k = int(np.argmin(ratios))
+            x += ratios[k] * (z - x)
+            x[blocking[k]] = 0.0
+            passive &= x > tol
+        x = z
+    return x, float(np.linalg.norm(a @ x - b))
 
-    return _nnls(*args, **kwargs)
 
+# scipy.optimize costs about half a second to import, and only BSA's
+# pairwise pass needs it, so it is imported on first use.  The name stays a
+# module attribute that callers (and tracers) can look up or replace.
 
 def minimize_scalar(*args, **kwargs):
     """``scipy.optimize.minimize_scalar``, imported on the first call."""
@@ -132,10 +157,6 @@ def _features(p: np.ndarray) -> np.ndarray:
     iu = np.triu_indices(n)
     upper = p[iu]
     return np.concatenate([upper.real, upper.imag])
-
-
-def _weights_valid(weights: np.ndarray, tol: Tolerances) -> bool:
-    return bool(np.all(weights >= -tol.residual_abs))
 
 
 def _independent_reduction(
@@ -189,22 +210,17 @@ def _certificate_from_weights(
 
 
 def certify_by_subsets(
-    s: BipartiteState,
-    es: EligibleSet,
-    tol: Tolerances = DEFAULT_TOL,
-    subset_budget: int = 100_000,
-    bsa_max_iters: int = 400,
-    threads: int = 1,
+    s: BipartiteState, es: EligibleSet, tol: Tolerances = DEFAULT_TOL
 ) -> Verdict:
     """Decide separability over an exhaustive finite set of eligible vectors.
 
-    An empty exhaustive set certifies entanglement outright.  Otherwise the
-    state is expressed over subsets of the candidate projectors: a greedy
-    independent subset first, then a nonnegative least-squares solve over
-    the full set, then bounded exhaustive subset enumeration.  Certificates
-    are reduced to linearly independent projectors, which keeps their size
-    within min(r^2, r_ta^2).  If no subset works the verdict falls through
-    to the best-separable-approximation iteration.
+    An empty exhaustive set certifies entanglement outright.  Otherwise one
+    nonnegative least-squares solve over all candidate projectors decides
+    whether the state lies in their cone; its residual is reported as
+    ``nnls_residual``.  The weights are reduced to linearly independent
+    projectors, which keeps the certificate within min(r^2, r_ta^2) terms.
+    A residual above tolerance is inconclusive, never entangled, since the
+    set may miss a vector although it claims to be exhaustive.
     """
     diag = _diagnostics(s, tol)
     if len(es.vectors) == 0:
@@ -213,91 +229,14 @@ def certify_by_subsets(
         return Verdict(INCONCLUSIVE, "NonGeneric", None, diag)
 
     projs = list(es.vectors)
-    scale = max(1.0, frob(s.rho))
     feats = np.column_stack([_features(pv.projector()) for pv in projs])
-    target = _features(s.rho)
-
-    def _attempt(indices) -> Decomposition | None:
-        sub = feats[:, indices]
-        sol, *_ = np.linalg.lstsq(sub, target, rcond=None)
-        if not _weights_valid(sol, tol):
-            return None
-        weights = np.zeros(len(projs))
-        weights[list(indices)] = np.clip(sol, 0.0, None)
-        weights = _independent_reduction(feats, weights, tol)
-        return _certificate_from_weights(s, projs, weights, tol)
-
-    # Greedy: grow an independent subset by the largest residual reduction.
-    chosen: list[int] = []
-    residual_vec = target.copy()
-    while len(chosen) < min(len(projs), feats.shape[0]):
-        gains = feats.T @ residual_vec
-        order = np.argsort(-np.abs(gains))
-        picked = None
-        for idx in order:
-            if idx in chosen:
-                continue
-            trial = chosen + [int(idx)]
-            if np.linalg.matrix_rank(feats[:, trial], tol=1e-10) < len(trial):
-                continue
-            picked = int(idx)
-            break
-        if picked is None:
-            break
-        chosen.append(picked)
-        sol, *_ = np.linalg.lstsq(feats[:, chosen], target, rcond=None)
-        residual_vec = target - feats[:, chosen] @ sol
-        if np.linalg.norm(residual_vec) <= 0.5 * tol.residual_abs * scale:
-            break
-    if chosen:
-        cert = _attempt(chosen)
-        if cert is not None:
-            return Verdict(SEPARABLE, None, cert, diag)
-
-    # Nonnegative least squares over the whole candidate set.
-    sol, rnorm = nnls(feats, target)
-    if rnorm <= tol.residual_abs * scale:
+    sol, rnorm = nnls(feats, _features(s.rho))
+    diag["nnls_residual"] = rnorm
+    if rnorm <= tol.residual_abs * max(1.0, frob(s.rho)):
         weights = _independent_reduction(feats, sol, tol)
         cert = _certificate_from_weights(s, projs, weights, tol)
         if cert is not None:
             return Verdict(SEPARABLE, None, cert, diag)
-
-    # Bounded exhaustive enumeration over subset sizes, largest-first within
-    # the Caratheodory window.
-    l0 = max(diag["rank"], diag["rank_ta"])
-    cap = min(len(projs), min(diag["rank"] ** 2, diag["rank_ta"] ** 2))
-    budget = subset_budget
-    sizes = range(max(1, l0), cap + 1)
-    subsets = []
-    for size in sizes:
-        for combo in itertools.combinations(range(len(projs)), size):
-            subsets.append(combo)
-            budget -= 1
-            if budget <= 0:
-                break
-        if budget <= 0:
-            break
-    if threads > 1 and len(subsets) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_attempt, subsets))
-    else:
-        results = map(_attempt, subsets)
-    for cert in results:
-        if cert is not None:
-            return Verdict(SEPARABLE, None, cert, diag)
-
-    # Numerical fallback: BSA over the candidate set.
-    bsa = bsa_decompose(s, projs, tol, max_iters=bsa_max_iters)
-    if bsa.lam >= 1.0 - tol.residual_abs:
-        terms = [
-            (float(w), pv) for w, pv in zip(bsa.weights, projs) if w > tol.residual_abs
-        ]
-        residual = frob(s.rho - reconstruction(terms, s.dim_a, s.dim_b))
-        if residual <= tol.residual_abs * scale:
-            cert = canonicalize(Decomposition(tuple(terms), residual))
-            return Verdict(SEPARABLE, None, cert, diag)
-    diag = dict(diag)
-    diag["bsa_lambda"] = bsa.lam
     return Verdict(INCONCLUSIVE, "BudgetExhausted", None, diag)
 
 
@@ -471,17 +410,14 @@ def separability_check(
     tol: Tolerances = DEFAULT_TOL,
     seed=0,
     direction_budget: int = 64,
-    subset_budget: int = 100_000,
-    bsa_max_iters: int = 400,
-    threads: int = 1,
 ) -> Verdict:
     """Full decision pipeline for one state.
 
     Stages: support compression; NPT test (with witness eigenvector); global
     rank below a local rank means distillable; the spectral-ball sufficient
     condition; the exact rank-N decomposition; the eligible-vector search
-    with subset certification when the rank-sum window applies; otherwise
-    inconclusive.
+    with NNLS certification when the rank-sum window applies; otherwise
+    inconclusive.  ``diagnostics["method"]`` names the deciding stage.
     """
     from .canon import decompose_rank_n
     from .state import is_ppt
@@ -499,11 +435,13 @@ def separability_check(
         witness = np.kron(va.conj(), vb) @ vecs[:, 0]
         diag["npt_eigenvalue"] = float(w[0])
         diag["npt_witness"] = [[float(z.real), float(z.imag)] for z in witness]
+        diag["method"] = "npt"
         return Verdict(ENTANGLED, "NPT", None, diag)
 
     m, n = sc.dim_a, sc.dim_b
     r = diag["rank"]
     if r < max(m, n):
+        diag["method"] = "rank_below_local"
         return Verdict(ENTANGLED, "RankBelowLocal", None, diag)
 
     if sc.normalized and r == m * n and spectral_ball_check(sc, tol):
@@ -511,35 +449,32 @@ def separability_check(
         return Verdict(SEPARABLE, "SpectralBall", None, diag)
 
     if r == max(m, n):
+        diag["method"] = "rank_n_decomposition"
         try:
             cert = decompose_rank_n(sc, tol, rng, direction_budget)
         except (NotPPT, RankTooLow) as exc:
             return Verdict(ENTANGLED, type(exc).__name__, None, diag)
         except DecompositionFailed:
             return Verdict(INCONCLUSIVE, "BudgetExhausted", None, diag)
-        diag["method"] = "rank_n_decomposition"
         return Verdict(SEPARABLE, None, _lift_certificate(cert, va, vb, s, tol), diag)
 
     rank_sum = r + diag["rank_ta"]
     if rank_sum <= 2 * m * n - m - n + 2:
+        diag["method"] = "eligible_vectors"
         try:
             es = enumerate_eligible(sc, tol, rng)
         except (NonGeneric, RankSumTooHigh) as exc:
             diag["eligible_error"] = str(exc)
             return Verdict(INCONCLUSIVE, "NonGeneric", None, diag)
-        diag["method"] = "eligible_vectors"
         diag["eligible_count"] = len(es.vectors)
         diag["eligible_exhaustive"] = es.exhaustive
-        verdict = certify_by_subsets(sc, es, tol, subset_budget, bsa_max_iters, threads)
-        if verdict.status == SEPARABLE and verdict.certificate is not None:
-            cert = _lift_certificate(verdict.certificate, va, vb, s, tol)
-            merged = dict(diag)
-            merged.update(verdict.diagnostics)
-            return Verdict(SEPARABLE, None, cert, merged)
-        merged = dict(diag)
-        merged.update(verdict.diagnostics)
-        return Verdict(verdict.status, verdict.reason, None, merged)
+        verdict = certify_by_subsets(sc, es, tol)
+        cert = verdict.certificate
+        if cert is not None:
+            cert = _lift_certificate(cert, va, vb, s, tol)
+        return Verdict(verdict.status, verdict.reason, cert, {**diag, **verdict.diagnostics})
 
+    diag["method"] = "none"
     return Verdict(INCONCLUSIVE, "BudgetExhausted", None, diag)
 
 

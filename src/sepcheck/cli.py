@@ -2,8 +2,8 @@
 
 Exit codes are a stable contract: 0 separable / success, 1 entangled,
 2 inconclusive / not converged, 3 error.  All randomized behavior is
-reproducible from --seed alone; SEPCHECK_SEED and SEPCHECK_THREADS provide
-environment defaults that explicit flags override.
+reproducible from --seed alone; SEPCHECK_SEED provides the environment
+default that an explicit --seed overrides.
 """
 
 from __future__ import annotations
@@ -82,16 +82,6 @@ def _tolerances(args) -> Tolerances:
     )
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        return fallback
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol-rank", type=float, default=1e-9,
                         help="relative singular-value cutoff for ranks")
@@ -103,14 +93,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="absolute tolerance for polynomial roots")
     parser.add_argument("--seed", type=int, default=None,
                         help="random seed (default: SEPCHECK_SEED or 0)")
-    parser.add_argument("--budget-subsets", type=int, default=100_000,
-                        help="maximum number of projector subsets to try")
     parser.add_argument("--budget-directions", type=int, default=64,
                         help="attempt budget for the full-rank direction search")
-    parser.add_argument("--max-iters", type=int, default=400,
-                        help="iteration cap for the separable-approximation sweep")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker bound for parallel subset solves (default: SEPCHECK_THREADS or 1)")
     parser.add_argument("--format", choices=("json", "text"), default="json",
                         help="output format")
 
@@ -118,13 +102,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    return _env_int("SEPCHECK_SEED", 0)
-
-
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    return max(1, _env_int("SEPCHECK_THREADS", 1))
+    try:
+        return int(os.environ.get("SEPCHECK_SEED", "0"))
+    except ValueError:
+        return 0
 
 
 def _inspect_report(s: BipartiteState, tol: Tolerances) -> dict:
@@ -173,14 +154,7 @@ def cmd_certify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     verdict = separability_check(
-        s,
-        tol,
-        seed=_resolve_seed(args),
-        direction_budget=args.budget_directions,
-        subset_budget=args.budget_subsets,
-        bsa_max_iters=args.max_iters,
-        threads=_resolve_threads(args),
-    )
+        s, tol, seed=_resolve_seed(args), direction_budget=args.budget_directions)
     doc = verdict_to_json(verdict)
     if args.format == "json":
         _dump(doc)
@@ -373,6 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--projectors", required=True,
                    help="decomposition document supplying the product vectors")
+    p.add_argument("--max-iters", type=int, default=400,
+                   help="iteration cap for the separable-approximation sweep")
     _add_common(p)
     p.set_defaults(func=cmd_bsa)
 

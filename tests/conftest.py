@@ -1,11 +1,25 @@
 """Shared construction helpers for the test suites."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sepcheck
 from sepcheck.fixtures import haar_vector
 from sepcheck.numlin import kernel_basis
 from sepcheck.state import BipartiteState, ProductVector, reconstruction
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _subprocess_pythonpath():
+    """Let ``python -m sepcheck.cli`` subprocesses import the package under
+    test, also from a checkout where it is not installed."""
+    src = str(Path(sepcheck.__file__).resolve().parents[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 def phase_distance(u, v):

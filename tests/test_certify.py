@@ -7,6 +7,7 @@ from sepcheck.certify import (
     bsa_decompose,
     certify_by_subsets,
     kernel_witness_bound,
+    nnls,
     separability_check,
     spectral_ball_check,
     verdict_to_json,
@@ -22,7 +23,7 @@ from sepcheck.fixtures import (
     tiles_vectors,
     werner_family,
 )
-from sepcheck.numlin import numerical_rank
+from sepcheck.numlin import DEFAULT_TOL, numerical_rank
 from sepcheck.state import (
     BipartiteState,
     ProductVector,
@@ -114,11 +115,47 @@ class TestCertifyBySubsets:
         assert verdict.status == "Entangled"
         assert verdict.reason == "NoEligibleVectors"
 
-    def test_threaded_subset_solves(self):
-        st, dec = random_separable(GeneratorSpec(dims=(3, 3), term_count=5, seed=31))
-        es = enumerate_eligible(st, seed=31)
-        verdict = certify_by_subsets(st, es, threads=2)
-        assert verdict.status == "Separable"
+    def test_missing_vector_is_inconclusive_not_entangled(self):
+        # a set that claims to be exhaustive but lacks a planted vector: the
+        # state is outside the cone of the given projectors, and the verdict
+        # must stay undecided with the residual that decided it
+        st, dec = random_separable(GeneratorSpec(dims=(3, 3), term_count=3, seed=32))
+        es = EligibleSet(tuple(pv for _, pv in dec.terms[:2]), exhaustive=True,
+                         degree_bound=3)
+        verdict = certify_by_subsets(st, es)
+        assert verdict.status == "Inconclusive"
+        assert verdict.reason == "BudgetExhausted"
+        assert verdict.diagnostics["nnls_residual"] > DEFAULT_TOL.residual_abs
+
+
+class TestNnls:
+    def test_matches_scipy_reference(self):
+        # the numpy solver against scipy's on seeded problems: plain random,
+        # linearly dependent columns (exact in floating point, from integer
+        # factors and duplicated columns) and targets inside the cone
+        import scipy.optimize
+
+        rng = np.random.default_rng(2024)
+        for trial in range(240):
+            m, n = int(rng.integers(2, 30)), int(rng.integers(1, 30))
+            kind = trial % 4
+            a = rng.normal(size=(m, n))
+            if kind == 1:
+                r = int(rng.integers(1, n + 1))
+                a = (rng.integers(-4, 5, size=(m, r)) @ rng.integers(-4, 5, size=(r, n)))
+                a = a.astype(float)
+            elif kind == 3:
+                a[:, rng.integers(0, n, size=n // 2)] = a[:, :1]
+            if kind >= 2:
+                b = a @ (np.abs(rng.normal(size=n)) * (rng.random(n) < 0.5))
+            else:
+                b = rng.normal(size=m)
+            x, rnorm = nnls(a, b)
+            _, ref = scipy.optimize.nnls(a, b)
+            assert np.all(x >= 0.0), trial
+            assert rnorm == pytest.approx(np.linalg.norm(a @ x - b), abs=1e-12)
+            assert rnorm <= ref + 1e-12 * max(1.0, np.linalg.norm(b)), trial
+
 
 
 class TestBsa:
@@ -204,6 +241,7 @@ class TestPipeline:
         verdict = separability_check(bell_phi_plus())
         assert verdict.status == "Entangled"
         assert verdict.reason == "NPT"
+        assert verdict.diagnostics["method"] == "npt"
         w = verdict.diagnostics["npt_witness"]
         vec = np.array([complex(a, b) for a, b in w])
         pt = partial_transpose(bell_phi_plus())
@@ -289,6 +327,7 @@ class TestPipelineEdges:
         verdict = separability_check(st, Tolerances(psd_abs=1e-2), seed=0)
         assert verdict.status == "Entangled"
         assert verdict.reason == "RankBelowLocal"
+        assert verdict.diagnostics["method"] == "rank_below_local"
 
     def test_out_of_window_full_rank_is_inconclusive(self):
         e = np.array([1.0, 0.0], dtype=complex)
@@ -298,6 +337,7 @@ class TestPipelineEdges:
         verdict = separability_check(st, seed=0)
         assert verdict.status == "Inconclusive"
         assert verdict.reason == "BudgetExhausted"
+        assert verdict.diagnostics["method"] == "none"
 
     def test_degenerate_rows_are_inconclusive(self):
         # the extra terms sit on a product pencil, so the compressed 2x2
@@ -307,6 +347,7 @@ class TestPipelineEdges:
         assert verdict.status == "Inconclusive"
         assert verdict.reason == "NonGeneric"
         assert "identically dependent" in verdict.diagnostics["eligible_error"]
+        assert verdict.diagnostics["method"] == "eligible_vectors"
 
     def test_bsa_nonconvergence_flag(self):
         st, dec = random_separable(GeneratorSpec(dims=(3, 3), term_count=5, seed=41))

@@ -1,13 +1,10 @@
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import sepcheck
 from sepcheck.cli import main
 from sepcheck.state import load_state
 
@@ -209,23 +206,25 @@ class TestStartUp:
     )
 
     def _probe(self, args):
-        src = str(Path(sepcheck.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-c", self.PROBE, *args],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout.splitlines()[-1])
 
     def test_commands_do_not_load_scipy_optimize(self, separable_doc, tmp_path):
+        # four terms on 3x3 take certify through the eligible search and NNLS
+        eligible_doc = tmp_path / "four.json"
+        assert main(["generate", str(eligible_doc), "--family", "separable-random",
+                     "--dims", "3", "3", "--terms", "4", "--seed", "3"]) == 0
         commands = [
             [],
             ["generate", str(tmp_path / "g.json"), "--dims", "2", "2", "--terms", "2"],
             ["inspect", str(separable_doc)],
             ["ppt", str(separable_doc)],
             ["certify", str(separable_doc), "--seed", "7"],
+            ["certify", str(eligible_doc), "--seed", "5"],
         ]
         for args in commands:
             assert self._probe(args) == [0, False], args
@@ -234,11 +233,6 @@ class TestStartUp:
         import scipy.optimize
 
         import sepcheck.certify as certify
-
-        a = np.array([[1.0, 0.5], [0.2, 1.0], [0.3, -0.4]])
-        b = np.array([1.0, -2.0, 0.5])
-        ours, ref = certify.nnls(a, b), scipy.optimize.nnls(a, b)
-        assert np.array_equal(ours[0], ref[0]) and ours[1] == ref[1]
 
         def f(t):
             return (t - 0.3) ** 2
