@@ -222,7 +222,14 @@ def certify_by_subsets(
     A residual above tolerance is inconclusive, never entangled, since the
     set may miss a vector although it claims to be exhaustive.
     """
-    diag = _diagnostics(s, tol)
+    return _certify_eligible(s, es, tol, _diagnostics(s, tol))
+
+
+def _certify_eligible(
+    s: BipartiteState, es: EligibleSet, tol: Tolerances, diag: dict
+) -> Verdict:
+    # certify_by_subsets with the state's diagnostics already measured
+    diag = dict(diag)
     if len(es.vectors) == 0:
         if es.exhaustive:
             return Verdict(ENTANGLED, "NoEligibleVectors", None, diag)
@@ -468,11 +475,11 @@ def separability_check(
             return Verdict(INCONCLUSIVE, "NonGeneric", None, diag)
         diag["eligible_count"] = len(es.vectors)
         diag["eligible_exhaustive"] = es.exhaustive
-        verdict = certify_by_subsets(sc, es, tol)
+        verdict = _certify_eligible(sc, es, tol, diag)
         cert = verdict.certificate
         if cert is not None:
             cert = _lift_certificate(cert, va, vb, s, tol)
-        return Verdict(verdict.status, verdict.reason, cert, {**diag, **verdict.diagnostics})
+        return Verdict(verdict.status, verdict.reason, cert, verdict.diagnostics)
 
     diag["method"] = "none"
     return Verdict(INCONCLUSIVE, "BudgetExhausted", None, diag)

@@ -43,6 +43,11 @@ class BilinearHomotopy:
     affine charts u . alpha = v . beta = c . f = 1 fix the projective
     scales, so every path of a zero-dimensional target ends at a finite
     point.  The random complex gamma keeps the paths apart for t in (0, 1].
+
+    Every row of F and of G is a quadratic form x^T Q x, so its gradient is
+    (Q + Q^T) x and, by Euler's identity, its value half the gradient dotted
+    with x.  The symmetrized forms of all rows of both systems are stored as
+    one (dim, 2 rows dim) tensor, and one matmul gives every gradient.
     """
 
     def __init__(self, k_rows: np.ndarray, kt_rows: np.ndarray, rng: np.random.Generator):
@@ -53,47 +58,49 @@ class BilinearHomotopy:
         def _draw(*shape):
             return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-        # both blocks stacked, state rows first, so one evaluation is a
-        # handful of array ops
+        # state rows first, then transpose rows, in both systems
         self.r = r
-        self.coef = np.concatenate([k_rows, kt_rows])
+        self.rows = rows = r + rt
         e_k, d_k, e_kt, d_kt = _draw(r, m), _draw(r, n), _draw(rt, m), _draw(rt, n)
         self.e, self.d = np.concatenate([e_k, e_kt]), np.concatenate([d_k, d_kt])
         self.charts = (_draw(m), _draw(m), _draw(n))
         self.gamma = complex(np.exp(2j * np.pi * rng.uniform()))
-        self.dim = 2 * m + n
-        self.chart_jac = np.zeros((3, self.dim), dtype=complex)
+        self.dim = dim = 2 * m + n
+        self.chart_jac = np.zeros((3, dim), dtype=complex)
         for i, (lo, vec) in enumerate(zip((0, m, 2 * m), self.charts)):
             self.chart_jac[i, lo:lo + len(vec)] = vec
 
+        # forms[0] target, forms[1] start; a row's Alice block sits at alpha
+        # for state rows and at beta for transpose rows, its Bob block at f
+        forms = np.zeros((2, rows, dim, dim), dtype=complex)
+        forms[0, :r, :m, 2 * m:] = k_rows
+        forms[0, r:, m:2 * m, 2 * m:] = kt_rows
+        forms[1, :r, :m, 2 * m:] = e_k[:, :, None] * d_k[:, None, :]
+        forms[1, r:, m:2 * m, 2 * m:] = e_kt[:, :, None] * d_kt[:, None, :]
+        forms += forms.swapaxes(-1, -2)
+        self.grad_tensor = forms.transpose(2, 0, 1, 3).reshape(dim, 2 * rows * dim)
+
     def evaluate(self, x: np.ndarray, t: np.ndarray):
         """H, its Jacobian in x and its t-derivative, batched over paths."""
-        m, r = self.m, self.r
-        p, rows = x.shape[0], self.coef.shape[0]
-        a, b, f = x[:, :m], x[:, m:2 * m], x[:, 2 * m:]
-        # each row's Alice variable: alpha for state rows, beta for the rest
-        left = np.empty((p, rows, m), dtype=complex)
-        left[:, :r] = a[:, None]
-        left[:, r:] = b[:, None]
-        kf = np.einsum("imn,pn->pim", self.coef, f)
-        target = np.einsum("pim,pim->pi", kf, left)
-        le = np.einsum("pim,im->pi", left, self.e)
-        fd = f @ self.d.T
-        start = le * fd
-        s = (1.0 - t)[:, None]
-        g = self.gamma * t[:, None]
-        jl = s[..., None] * kf + (g * fd)[..., None] * self.e
-        u, v, c = self.charts
-        h = np.concatenate([s * target + g * start,
-                            np.stack([a @ u, b @ v, f @ c], axis=1) - 1.0], axis=1)
-        ht = np.zeros_like(h)
-        ht[:, :rows] = self.gamma * start - target
-        jac = np.zeros((p, self.dim, self.dim), dtype=complex)
-        jac[:, :r, :m] = jl[:, :r]
-        jac[:, r:rows, m:2 * m] = jl[:, r:]
-        jac[:, :rows, 2 * m:] = (s[..., None] * np.einsum("pim,imn->pin", left, self.coef)
-                                 + (g * le)[..., None] * self.d)
+        p, rows, dim = x.shape[0], self.rows, self.dim
+        grads = (x @ self.grad_tensor).reshape(p, 2, rows * dim)
+        # per path: [[1 - t, gamma t], [-1, gamma]] maps the (F, G)
+        # gradients to those of H and of dH/dt
+        mix = np.empty((p, 2, 2), dtype=complex)
+        mix[:, 0, 0] = 1.0 - t
+        mix[:, 0, 1] = self.gamma * t
+        mix[:, 1, 0] = -1.0
+        mix[:, 1, 1] = self.gamma
+        both = (mix @ grads).reshape(p, 2, rows, dim)
+        values = 0.5 * (both @ x[:, None, :, None])[..., 0]
+        jac = np.empty((p, dim, dim), dtype=complex)
+        jac[:, :rows] = both[:, 0]
         jac[:, rows:] = self.chart_jac
+        h = np.empty((p, dim), dtype=complex)
+        h[:, :rows] = values[:, 0]
+        h[:, rows:] = x @ self.chart_jac.T - 1.0
+        ht = np.zeros((p, dim), dtype=complex)
+        ht[:, :rows] = values[:, 1]
         return h, jac, ht
 
     def start_points(self) -> np.ndarray:
@@ -104,7 +111,7 @@ class BilinearHomotopy:
         the N-1 rows left over.  With the charts each group is then one
         square linear solve.
         """
-        m, r, rows = self.m, self.r, self.coef.shape[0]
+        m, r, rows = self.m, self.r, self.rows
         u, v, c = self.charts
         # each solve's last row is its chart, the others vanishing factors
         rhs_a = np.zeros(m, dtype=complex)

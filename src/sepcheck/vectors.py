@@ -10,13 +10,14 @@ must drop below N.  Two solvers find the Alice parts alpha:
   Alice coordinates; iterated cross-multiplication reduces them to a single
   univariate polynomial whose roots are back-substituted.  This solves the
   single-kernel block systems (a kernel with at least N rows gives minors
-  holomorphic in alpha or in alpha*), the coupled system when M = 2, and the
-  underdetermined coupled systems.
-* Homotopy continuation.  When M >= 3, no block system applies and
+  holomorphic in alpha or in alpha*) and the underdetermined coupled
+  systems.
+* Homotopy continuation.  When no block system applies and
   k + k_T >= 2M + N - 3, the bilinear system A(alpha, beta) f = 0 (beta
-  standing in for alpha*) is square or overdetermined.  It is squared by
-  random row combinations and all of its multihomogeneous Bezout paths are
-  tracked numerically; endpoints with beta = conj(alpha) are kept.
+  standing in for alpha*) is square or overdetermined, M = 2 included.  It
+  is squared by random row combinations and all of its multihomogeneous
+  Bezout paths are tracked numerically; endpoints with beta = conj(alpha)
+  are kept.
 
 Either way the candidates are polished, filtered by both range memberships
 and deduplicated into the finite eligible set.
@@ -750,13 +751,14 @@ def track_coupled(kd: KernelData, split: tuple[int, int], rng: np.random.Generat
 class EligibleSet:
     """Product vectors compatible with both range constraints.
 
-    On the elimination path ``exhaustive`` is True when the elimination
-    certified a finite, complete candidate set, and ``degree_bound`` bounds
-    how many candidates the terminal polynomial can produce.  On the
-    path-tracked path ``exhaustive`` is True when every path is accounted
-    for: each ended at a finite nonsingular point that no other path
-    reached.  ``degree_bound`` is then the number of paths, which bounds the
-    number of isolated solutions.
+    On the elimination path (block systems, underdetermined coupled
+    systems) ``exhaustive`` is True when the elimination certified a
+    finite, complete candidate set, and ``degree_bound`` bounds how many
+    candidates the terminal polynomial can produce.  On the path-tracked
+    path (square or overdetermined coupled systems, any M) ``exhaustive``
+    is True when every path is accounted for: each ended at a finite
+    nonsingular point that no other path reached.  ``degree_bound`` is then
+    the number of paths, which bounds the number of isolated solutions.
     """
 
     vectors: tuple[ProductVector, ...]
@@ -853,13 +855,16 @@ def enumerate_eligible(
     in the computational basis (nonzero first coordinate).  Whichever kernel
     is large enough to pin the Alice coordinates on its own provides a
     holomorphic minor system, solved by elimination.  Otherwise the coupled
-    system links the coordinates with their conjugates: with M >= 3 and
+    system links the coordinates with their conjugates: with
     k + k_T >= 2M + N - 3 it is square or overdetermined and is solved by
-    homotopy continuation (see :func:`track_coupled`); with M = 2, or when
-    it is underdetermined, its minors are eliminated jointly.  Candidates
-    are polished by alternating least squares, then filtered by the kernel
-    residuals and both range memberships, and deduplicated up to phase.
-    All random draws come from ``seed``, so reruns are identical.
+    homotopy continuation (see :func:`track_coupled`), for M = 2 as for
+    larger M; when it is underdetermined its minors are eliminated jointly.
+    Before tracking, A is checked at one random alpha: rank below N there
+    means rank below N at every alpha, a continuum of product vectors, and
+    raises NonGeneric.  Candidates are polished by alternating least
+    squares, then filtered by the kernel residuals and both range
+    memberships, and deduplicated up to phase.  All random draws come from
+    ``seed``, so reruns are identical.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     m, n = s.dim_a, s.dim_b
@@ -881,10 +886,11 @@ def enumerate_eligible(
     # its own system and the candidates are unioned: every block system is
     # complete on its own, so a root lost to coefficient noise in one has a
     # second chance in the other.  The coupled system is the fallback:
-    # path-tracked when it is square or overdetermined with M >= 3 (its
-    # elimination loses roots to coefficient noise there), eliminated
-    # otherwise.  Systems are capped at two equations beyond the unknown
-    # count; dropped minors stay enforced through the physical filters.
+    # path-tracked when it is square or overdetermined (its elimination
+    # loses roots to coefficient noise for M >= 3, and its Leibniz minors
+    # dominate the cost for M = 2), eliminated otherwise.  Systems are
+    # capped at two equations beyond the unknown count; dropped minors stay
+    # enforced through the physical filters.
     cap = (m - 1) + 2
     systems: list[list[MultiPoly]] = []
     if kd.k >= n:
@@ -910,12 +916,19 @@ def enumerate_eligible(
         assignments += asg
         completes.append(comp)
         bounds.append(elim.degree_bound)
-    split = None if completes or m < 3 else _square_split(kd.k, kd.kt, m, n)
+    split = None if completes else _square_split(kd.k, kd.kt, m, n)
     raw: list[np.ndarray] = []
     if completes:
         complete = any(completes)
         degree_bound = min(bounds)
     elif split is not None:
+        # rank below N at a generic alpha means rank below N at every alpha:
+        # each alpha has a product vector, a continuum no path count covers
+        probe = rng.normal(size=m) + 1j * rng.normal(size=m)
+        svals = np.linalg.svd(constraint_matrix(kd, probe), compute_uv=False)
+        if svals[-1] <= tol.rank_rel * svals[0]:
+            raise NonGeneric("the constraint matrix is rank deficient at a generic alpha: "
+                             "the product vectors form a continuum")
         raw, complete, degree_bound = track_coupled(kd, split, rng, tol)
     else:
         system = minor_polynomials(kd, rng)

@@ -349,6 +349,40 @@ class TestPipelineEdges:
         assert "identically dependent" in verdict.diagnostics["eligible_error"]
         assert verdict.diagnostics["method"] == "eligible_vectors"
 
+    def test_input_dims_survive_the_eligible_path(self):
+        # a 3x3 eligible-path state embedded in 3x4: the verdict reports the
+        # input's dimensions next to the compressed ones
+        st, _ = random_separable(GeneratorSpec(dims=(3, 3), term_count=5, seed=12))
+        lift = np.kron(np.eye(3), np.eye(4, 3))
+        embedded = BipartiteState(3, 4, lift @ st.rho @ lift.T, normalized=True)
+        verdict = separability_check(embedded, seed=12)
+        assert verdict.diagnostics["method"] == "eligible_vectors"
+        assert verdict.status == "Separable"
+        assert verdict.diagnostics["dims"] == [3, 4]
+        assert verdict.diagnostics["compressed_dims"] == [3, 3]
+
+    def test_eligible_verdict_measures_ranks_once(self, monkeypatch):
+        # rank, rank_ta and the two local ranks: four numerical_rank calls
+        import sys
+
+        import sepcheck.numlin
+
+        original = sepcheck.numlin.numerical_rank
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("sepcheck") and getattr(module, "numerical_rank", None) is original:
+                monkeypatch.setattr(module, "numerical_rank", counting)
+        st, _ = random_separable(GeneratorSpec(dims=(3, 3), term_count=5, seed=12))
+        verdict = separability_check(st, seed=12)
+        assert verdict.diagnostics["method"] == "eligible_vectors"
+        assert verdict.status == "Separable"
+        assert len(calls) == 4
+
     def test_bsa_nonconvergence_flag(self):
         st, dec = random_separable(GeneratorSpec(dims=(3, 3), term_count=5, seed=41))
         res = bsa_decompose(st, [pv for _, pv in dec.terms], max_iters=1)

@@ -190,8 +190,8 @@ class TestOtherCommands:
 
 class TestStartUp:
     # Runs ``python -m sepcheck.cli <args>`` (or only ``import sepcheck.cli``
-    # when there are no args) and reports whether scipy.optimize was loaded
-    # by the time the command finished.
+    # when there are no args) and reports whether scipy.optimize and the path
+    # tracker were loaded by the time the command finished.
     PROBE = (
         "import json, runpy, sys\n"
         "code = 0\n"
@@ -202,7 +202,8 @@ class TestStartUp:
         "        code = exc.code\n"
         "else:\n"
         "    import sepcheck.cli\n"
-        "print(json.dumps([code, 'scipy.optimize' in sys.modules]))\n"
+        "print(json.dumps([code, 'scipy.optimize' in sys.modules,\n"
+        "                  'sepcheck.homotopy' in sys.modules]))\n"
     )
 
     def _probe(self, args):
@@ -213,21 +214,24 @@ class TestStartUp:
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout.splitlines()[-1])
 
-    def test_commands_do_not_load_scipy_optimize(self, separable_doc, tmp_path):
-        # four terms on 3x3 take certify through the eligible search and NNLS
+    def test_commands_do_not_load_scipy_optimize(self, separable_doc, tiles_doc, tmp_path):
+        # four terms on 3x3 take certify through the eligible search and NNLS;
+        # like tiles, that search solves a single-kernel block system, so
+        # neither loads the path tracker either
         eligible_doc = tmp_path / "four.json"
         assert main(["generate", str(eligible_doc), "--family", "separable-random",
                      "--dims", "3", "3", "--terms", "4", "--seed", "3"]) == 0
         commands = [
-            [],
-            ["generate", str(tmp_path / "g.json"), "--dims", "2", "2", "--terms", "2"],
-            ["inspect", str(separable_doc)],
-            ["ppt", str(separable_doc)],
-            ["certify", str(separable_doc), "--seed", "7"],
-            ["certify", str(eligible_doc), "--seed", "5"],
+            ([], 0),
+            (["generate", str(tmp_path / "g.json"), "--dims", "2", "2", "--terms", "2"], 0),
+            (["inspect", str(separable_doc)], 0),
+            (["ppt", str(separable_doc)], 0),
+            (["certify", str(separable_doc), "--seed", "7"], 0),
+            (["certify", str(eligible_doc), "--seed", "5"], 0),
+            (["certify", str(tiles_doc), "--seed", "5"], 1),
         ]
-        for args in commands:
-            assert self._probe(args) == [0, False], args
+        for args, code in commands:
+            assert self._probe(args) == [code, False, False], args
 
     def test_lazy_optimizers_match_scipy(self):
         import scipy.optimize

@@ -8,10 +8,11 @@ from sepcheck.fixtures import (
     GeneratorSpec,
     haar_vector,
     random_separable,
+    random_separable_rank_deficient,
     tiles_upb_state,
 )
 from sepcheck.numlin import DEFAULT_TOL, numerical_rank
-from sepcheck.state import partial_transpose
+from sepcheck.state import partial_transpose, support_compress
 from sepcheck.vectors import (
     KernelData,
     MultiPoly,
@@ -278,6 +279,36 @@ class TestEnumerateEligible:
         assert es.exhaustive
         assert len(es.vectors) <= es.degree_bound
         assert separability_check(st, seed=2003).status == "Separable"
+
+    def test_coupled_2x6_system_is_path_tracked(self):
+        # eight terms on 2x6 leave four rows in each kernel block, fewer than
+        # N = 6, so the coupled system is solved.  Kept as 3 + 4 rows it is
+        # square with C(3, 1) C(4, 1) = 12 paths; elimination bounded the
+        # same system by a degree-16 terminal polynomial.
+        st, dec = random_separable(GeneratorSpec(dims=(2, 6), term_count=8, seed=21))
+        kd = kernel_data(st)
+        assert (kd.k, kd.kt) == (4, 4)
+        es = enumerate_eligible(st, seed=21)
+        assert es.degree_bound == 12
+        assert match_planted(es.vectors, [pv for _, pv in dec.terms]) == 8
+        assert es.exhaustive
+
+    def test_rank_deficient_coupled_system_is_nongeneric(self):
+        # four of the six terms lie on the product pencil (e_a + t e_b) x f0,
+        # so the support compresses to 2x3 with k = kt = 2 and A(alpha) has
+        # rank 2 < 3 at every alpha: a continuum of product vectors
+        st, _ = random_separable_rank_deficient((2, 4), 4, 6, seed=5)
+        sc, _ = support_compress(st)
+        kd = kernel_data(sc)
+        assert (sc.dim_a, sc.dim_b, kd.k, kd.kt) == (2, 3, 2, 2)
+        with pytest.raises(NonGeneric, match="continuum"):
+            enumerate_eligible(sc, seed=5)
+
+    def test_rank_deficient_coupled_system_is_inconclusive(self):
+        st, _ = random_separable_rank_deficient((2, 4), 4, 6, seed=5)
+        verdict = separability_check(st, seed=5)
+        assert (verdict.status, verdict.reason) == ("Inconclusive", "NonGeneric")
+        assert "continuum" in verdict.diagnostics["eligible_error"]
 
     def test_path_tracked_reruns_are_identical(self):
         # rank 6 on 3x3: k = kt = 3 = N, the square coupled system
