@@ -28,11 +28,13 @@ from .state import (
     Decomposition,
     ProductVector,
     canonicalize,
+    decomposition_to_json,
     partial_transpose,
     reconstruction,
     reduced_a,
     reduced_b,
     support_compress,
+    vector_to_json,
 )
 from .vectors import EligibleSet, enumerate_eligible
 
@@ -416,7 +418,6 @@ def separability_check(
     s: BipartiteState,
     tol: Tolerances = DEFAULT_TOL,
     seed=0,
-    direction_budget: int = 64,
 ) -> Verdict:
     """Full decision pipeline for one state.
 
@@ -427,7 +428,6 @@ def separability_check(
     inconclusive.  ``diagnostics["method"]`` names the deciding stage.
     """
     from .canon import decompose_rank_n
-    from .state import is_ppt
 
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     sc, (va, vb) = support_compress(s, tol)
@@ -441,7 +441,7 @@ def separability_check(
     if float(w[0]) < -floor:
         witness = np.kron(va.conj(), vb) @ vecs[:, 0]
         diag["npt_eigenvalue"] = float(w[0])
-        diag["npt_witness"] = [[float(z.real), float(z.imag)] for z in witness]
+        diag["npt_witness"] = vector_to_json(witness)
         diag["method"] = "npt"
         return Verdict(ENTANGLED, "NPT", None, diag)
 
@@ -458,7 +458,7 @@ def separability_check(
     if r == max(m, n):
         diag["method"] = "rank_n_decomposition"
         try:
-            cert = decompose_rank_n(sc, tol, rng, direction_budget)
+            cert = decompose_rank_n(sc, tol, rng)
         except (NotPPT, RankTooLow) as exc:
             return Verdict(ENTANGLED, type(exc).__name__, None, diag)
         except DecompositionFailed:
@@ -489,21 +489,8 @@ def separability_check(
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _vector_pairs(v: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in v]
-
-
 def verdict_to_json(v: Verdict) -> dict:
-    cert = None
-    if v.certificate is not None:
-        cert = [
-            {
-                "weight": float(w),
-                "e": _vector_pairs(pv.e),
-                "f": _vector_pairs(pv.f),
-            }
-            for w, pv in v.certificate.terms
-        ]
+    cert = None if v.certificate is None else decomposition_to_json(v.certificate)["terms"]
     return {
         "status": v.status,
         "reason": v.reason,

@@ -1,34 +1,43 @@
-"""Command-line front end with machine-readable output.
+"""Command-line front end; every command prints one JSON document.
 
 Exit codes are a stable contract: 0 separable / success, 1 entangled,
-2 inconclusive / not converged, 3 error.  All randomized behavior is
-reproducible from --seed alone; SEPCHECK_SEED provides the environment
-default that an explicit --seed overrides.
+2 inconclusive / not converged, 3 error.  Usage errors, bad input documents,
+flag or SEPCHECK_SEED values and unwritable outputs all exit 3 with one
+``error:`` line; output files are written before stdout.  All randomized
+behavior is reproducible from --seed alone; SEPCHECK_SEED provides the
+environment default that an explicit --seed overrides.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+import traceback
 
 import numpy as np
 
-from .certify import bsa_decompose, separability_check, verdict_to_json
-from .errors import NonGeneric, RankSumTooHigh, SepcheckError
+from .certify import _diagnostics, bsa_decompose, separability_check, verdict_to_json
+from .errors import (
+    DecompositionFailed,
+    NonGeneric,
+    NotPPT,
+    RankSumTooHigh,
+    RankTooLow,
+    SepcheckError,
+)
 from .fixtures import FAMILIES, GeneratorSpec, generate
-from .numlin import Tolerances, numerical_rank
+from .numlin import Tolerances
 from .state import (
-    BipartiteState,
-    Decomposition,
-    ProductVector,
+    decomposition_from_json,
+    decomposition_to_json,
     is_ppt,
     load_state,
     partial_transpose,
-    reduced_a,
-    reduced_b,
+    read_json,
     state_to_json,
+    vector_to_json,
+    write_json,
 )
 from .vectors import enumerate_eligible
 
@@ -36,265 +45,124 @@ EXIT_SEPARABLE = 0
 EXIT_ENTANGLED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_ERROR = 3
+EXIT_BY_STATUS = {"Separable": EXIT_SEPARABLE, "Entangled": EXIT_ENTANGLED,
+                  "Inconclusive": EXIT_INCONCLUSIVE}
 
 
-def _dump(doc, stream=None) -> None:
-    stream = stream or sys.stdout
-    json.dump(doc, stream, sort_keys=True, indent=2)
-    stream.write("\n")
+def _load(args) -> None:
+    """Read every input of a command onto ``args``.
 
-
-def _write_json(doc, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def _vector_pairs(v: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in v]
-
-
-def _decomposition_doc(dec: Decomposition) -> dict:
-    return {
-        "terms": [
-            {"weight": float(w), "e": _vector_pairs(pv.e), "f": _vector_pairs(pv.f)}
-            for w, pv in dec.terms
-        ],
-        "residual": float(dec.residual),
-    }
-
-
-def _decomposition_from_doc(doc: dict) -> list[ProductVector]:
-    vectors = []
-    for term in doc["terms"]:
-        e = np.array([complex(p[0], p[1]) for p in term["e"]])
-        f = np.array([complex(p[0], p[1]) for p in term["f"]])
-        vectors.append(ProductVector(e, f))
-    return vectors
-
-
-def _tolerances(args) -> Tolerances:
-    return Tolerances(
-        rank_rel=args.tol_rank,
-        psd_abs=args.tol_psd,
-        residual_abs=args.tol_residual,
-        root_abs=args.tol_root,
-    )
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol-rank", type=float, default=1e-9,
-                        help="relative singular-value cutoff for ranks")
-    parser.add_argument("--tol-psd", type=float, default=1e-9,
-                        help="absolute eigenvalue floor for positivity")
-    parser.add_argument("--tol-residual", type=float, default=1e-8,
-                        help="absolute Frobenius residual for reconstructions")
-    parser.add_argument("--tol-root", type=float, default=1e-6,
-                        help="absolute tolerance for polynomial roots")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="random seed (default: SEPCHECK_SEED or 0)")
-    parser.add_argument("--budget-directions", type=int, default=64,
-                        help="attempt budget for the full-rank direction search")
-    parser.add_argument("--format", choices=("json", "text"), default="json",
-                        help="output format")
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    try:
-        return int(os.environ.get("SEPCHECK_SEED", "0"))
-    except ValueError:
-        return 0
-
-
-def _inspect_report(s: BipartiteState, tol: Tolerances) -> dict:
-    m, n = s.dim_a, s.dim_b
-    pt = partial_transpose(s)
-    r = numerical_rank(s.rho, tol)
-    rt = numerical_rank(pt, tol)
-    return {
-        "dim_a": m,
-        "dim_b": n,
-        "trace": s.trace,
-        "rank": r,
-        "rank_ta": rt,
-        "local_rank_a": numerical_rank(reduced_a(s), tol),
-        "local_rank_b": numerical_rank(reduced_b(s), tol),
-        "kernel_dim": m * n - r,
-        "kernel_dim_ta": m * n - rt,
-        "ppt": is_ppt(s, tol),
-        "rank_sum": r + rt,
-        "rank_sum_bound": 2 * m * n - m - n + 2,
-        "rank_sum_within_bound": r + rt <= 2 * m * n - m - n + 2,
-    }
+    Sets ``tol``, the resolved ``seed``, the ``state`` read from ``path``
+    and, for ``bsa``, the ``projectors`` read from their decomposition
+    document.  Any bad input raises ``ValueError`` or ``OSError``.
+    """
+    args.tol = Tolerances(rank_rel=args.tol_rank, psd_abs=args.tol_psd,
+                          residual_abs=args.tol_residual, root_abs=args.tol_root)
+    if args.seed is None:
+        env = os.environ.get("SEPCHECK_SEED", "0")
+        try:
+            args.seed = int(env)
+        except ValueError:
+            raise ValueError(f"SEPCHECK_SEED must be an integer, got {env!r}") from None
+    if "path" in args:
+        args.state = load_state(args.path, args.tol)
+    if "projectors" in args:
+        doc = read_json(args.projectors)
+        dec = decomposition_from_json(doc, args.state.dim_a, args.state.dim_b)
+        args.projectors = [pv for _, pv in dec.terms]
 
 
 def cmd_inspect(args) -> int:
-    tol = _tolerances(args)
-    try:
-        s = load_state(args.path, tol)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    report = _inspect_report(s, tol)
-    if args.format == "json":
-        _dump(report)
-    else:
-        for key in sorted(report):
-            print(f"{key}: {report[key]}")
+    s = args.state
+    report = _diagnostics(s, args.tol)
+    report["dim_a"], report["dim_b"] = report.pop("dims")
+    rank_sum = report["rank"] + report["rank_ta"]
+    bound = 2 * s.dim_a * s.dim_b - s.dim_a - s.dim_b + 2
+    report.update(ppt=is_ppt(s, args.tol), rank_sum=rank_sum, rank_sum_bound=bound,
+                  rank_sum_within_bound=rank_sum <= bound)
+    write_json(report)
     return 0
 
 
 def cmd_certify(args) -> int:
-    tol = _tolerances(args)
-    try:
-        s = load_state(args.path, tol)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    verdict = separability_check(
-        s, tol, seed=_resolve_seed(args), direction_budget=args.budget_directions)
-    doc = verdict_to_json(verdict)
-    if args.format == "json":
-        _dump(doc)
-    else:
-        print(f"status: {verdict.status}")
-        if verdict.reason:
-            print(f"reason: {verdict.reason}")
-        if verdict.certificate is not None:
-            print(f"certificate terms: {len(verdict.certificate.terms)}")
-            print(f"certificate residual: {verdict.certificate.residual:.3e}")
+    verdict = separability_check(args.state, args.tol, seed=args.seed)
     if verdict.certificate is not None:
-        cert_path = args.certificate_out or (str(args.path) + ".certificate.json")
-        _write_json(_decomposition_doc(verdict.certificate), cert_path)
-    if verdict.status == "Separable":
-        return EXIT_SEPARABLE
-    if verdict.status == "Entangled":
-        return EXIT_ENTANGLED
-    return EXIT_INCONCLUSIVE
+        write_json(decomposition_to_json(verdict.certificate),
+                   args.certificate_out or f"{args.path}.certificate.json")
+    write_json(verdict_to_json(verdict))
+    return EXIT_BY_STATUS[verdict.status]
 
 
 def cmd_generate(args) -> int:
-    try:
-        spec = GeneratorSpec(
-            dims=(args.dims[0], args.dims[1]),
-            family=args.family,
-            term_count=args.terms,
-            target_ranks=tuple(args.ranks) if args.ranks else None,
-            seed=_resolve_seed(args),
-            p=args.p,
-        )
-        state, planted = generate(spec)
-    except (ValueError, SepcheckError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    _write_json(state_to_json(state), args.out)
+    state, planted = generate(GeneratorSpec(
+        dims=(args.dims[0], args.dims[1]),
+        family=args.family,
+        term_count=args.terms,
+        target_ranks=tuple(args.ranks) if args.ranks else None,
+        seed=args.seed,
+        p=args.p,
+    ))
+    write_json(state_to_json(state), args.out)
     if planted is not None:
-        _write_json(_decomposition_doc(planted), str(args.out) + ".decomp.json")
-    if args.format == "text":
-        print(f"wrote {args.out}")
-    else:
-        _dump({"path": str(args.out), "family": args.family,
-               "dims": [args.dims[0], args.dims[1]],
-               "planted_terms": len(planted.terms) if planted else None})
+        write_json(decomposition_to_json(planted), f"{args.out}.decomp.json")
+    write_json({"path": str(args.out), "family": args.family,
+                "dims": [args.dims[0], args.dims[1]],
+                "planted_terms": len(planted.terms) if planted else None})
     return 0
 
 
 def cmd_ppt(args) -> int:
-    tol = _tolerances(args)
-    try:
-        s = load_state(args.path, tol)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    pt = partial_transpose(s)
-    wmin = float(np.linalg.eigvalsh(pt)[0])
-    ppt = is_ppt(s, tol)
-    if args.format == "json":
-        _dump({"ppt": ppt, "min_eigenvalue": wmin})
-    else:
-        print(f"ppt: {ppt} (min eigenvalue {wmin:.3e})")
+    s = args.state
+    # is_ppt's test, on the one eigenvalue both outputs need
+    wmin = float(np.linalg.eigvalsh(partial_transpose(s))[0])
+    ppt = wmin >= -args.tol.psd_abs * max(1.0, abs(s.trace))
+    write_json({"ppt": ppt, "min_eigenvalue": wmin})
     return EXIT_SEPARABLE if ppt else EXIT_ENTANGLED
 
 
 def cmd_decompose(args) -> int:
     from .canon import decompose_rank_n
-    from .errors import DecompositionFailed, NotPPT, RankTooLow
 
-    tol = _tolerances(args)
     try:
-        s = load_state(args.path, tol)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        dec = decompose_rank_n(s, tol, seed=_resolve_seed(args),
-                               direction_budget=args.budget_directions)
+        dec = decompose_rank_n(args.state, args.tol, seed=args.seed)
     except (NotPPT, RankTooLow) as exc:
         print(f"entangled: {exc}", file=sys.stderr)
         return EXIT_ENTANGLED
     except (DecompositionFailed, ValueError) as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    doc = _decomposition_doc(dec)
-    if args.format == "json":
-        _dump(doc)
-    else:
-        print(f"terms: {len(dec.terms)}  residual: {dec.residual:.3e}")
+    doc = decomposition_to_json(dec)
     if args.out:
-        _write_json(doc, args.out)
+        write_json(doc, args.out)
+    write_json(doc)
     return EXIT_SEPARABLE
 
 
 def cmd_eligible(args) -> int:
-    tol = _tolerances(args)
     try:
-        s = load_state(args.path, tol)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        es = enumerate_eligible(s, tol, seed=_resolve_seed(args))
+        es = enumerate_eligible(args.state, args.tol, seed=args.seed)
     except (NonGeneric, RankSumTooHigh) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    doc = {
+    write_json({
         "count": len(es.vectors),
         "exhaustive": es.exhaustive,
         "degree_bound": es.degree_bound,
-        "vectors": [
-            {"e": _vector_pairs(pv.e), "f": _vector_pairs(pv.f)} for pv in es.vectors
-        ],
-    }
-    if args.format == "json":
-        _dump(doc)
-    else:
-        print(f"eligible vectors: {doc['count']} (exhaustive: {es.exhaustive})")
+        "vectors": [{"e": vector_to_json(pv.e), "f": vector_to_json(pv.f)}
+                    for pv in es.vectors],
+    })
     return 0
 
 
 def cmd_bsa(args) -> int:
-    tol = _tolerances(args)
-    try:
-        s = load_state(args.path, tol)
-        with open(args.projectors, encoding="utf-8") as fh:
-            projectors = _decomposition_from_doc(json.load(fh))
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    result = bsa_decompose(s, projectors, tol, max_iters=args.max_iters)
-    doc = {
+    result = bsa_decompose(args.state, args.projectors, args.tol, max_iters=args.max_iters)
+    write_json({
         "lambda": result.lam,
         "weights": [float(w) for w in result.weights],
         "converged": result.converged,
         "iterations": result.iterations,
         "lambda_trace": [float(x) for x in result.lam_trace],
-    }
-    if args.format == "json":
-        _dump(doc)
-    else:
-        print(f"lambda: {result.lam:.6f} converged: {result.converged}")
+    })
     return EXIT_SEPARABLE if result.converged else EXIT_INCONCLUSIVE
 
 
@@ -304,63 +172,68 @@ def build_parser() -> argparse.ArgumentParser:
         description="Constructive separability checks for low-rank bipartite states",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--tol-rank", type=float, default=1e-9,
+                        help="relative singular-value cutoff for ranks")
+    common.add_argument("--tol-psd", type=float, default=1e-9,
+                        help="absolute eigenvalue floor for positivity")
+    common.add_argument("--tol-residual", type=float, default=1e-8,
+                        help="absolute Frobenius residual for reconstructions")
+    common.add_argument("--tol-root", type=float, default=1e-6,
+                        help="absolute tolerance for polynomial roots")
+    common.add_argument("--seed", type=int, default=None,
+                        help="random seed (default: SEPCHECK_SEED or 0)")
 
-    p = sub.add_parser("inspect", help="print ranks, kernel dims and PPT status")
-    p.add_argument("path")
-    _add_common(p)
-    p.set_defaults(func=cmd_inspect)
+    def command(name, func, help_text, positional="path"):
+        p = sub.add_parser(name, help=help_text, parents=[common])
+        p.add_argument(positional)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("certify", help="run the full separability pipeline")
-    p.add_argument("path")
+    command("inspect", cmd_inspect, "print ranks, kernel dims and PPT status")
+
+    p = command("certify", cmd_certify, "run the full separability pipeline")
     p.add_argument("--certificate-out", default=None,
                    help="where to write the certificate sidecar (default: <path>.certificate.json)")
-    _add_common(p)
-    p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("generate", help="write a state document from a family spec")
-    p.add_argument("out")
+    p = command("generate", cmd_generate, "write a state document from a family spec", "out")
     p.add_argument("--family", choices=FAMILIES, default="separable-random")
     p.add_argument("--dims", type=int, nargs=2, default=(3, 3), metavar=("M", "N"))
     p.add_argument("--terms", type=int, default=None)
     p.add_argument("--ranks", type=int, nargs=2, default=None, metavar=("R", "RT"))
     p.add_argument("--p", type=float, default=None, help="mixing parameter")
-    _add_common(p)
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("ppt", help="test the partial transpose for positivity")
-    p.add_argument("path")
-    _add_common(p)
-    p.set_defaults(func=cmd_ppt)
+    command("ppt", cmd_ppt, "test the partial transpose for positivity")
 
-    p = sub.add_parser("decompose", help="exact rank-N product decomposition")
-    p.add_argument("path")
+    p = command("decompose", cmd_decompose, "exact rank-N product decomposition")
     p.add_argument("--out", default=None, help="write the decomposition document here")
-    _add_common(p)
-    p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("eligible-vectors", help="enumerate eligible product vectors")
-    p.add_argument("path")
-    _add_common(p)
-    p.set_defaults(func=cmd_eligible)
+    command("eligible-vectors", cmd_eligible, "enumerate eligible product vectors")
 
-    p = sub.add_parser("bsa", help="best separable approximation over given projectors")
-    p.add_argument("path")
+    p = command("bsa", cmd_bsa, "best separable approximation over given projectors")
     p.add_argument("--projectors", required=True,
                    help="decomposition document supplying the product vectors")
     p.add_argument("--max-iters", type=int, default=400,
                    help="iteration cap for the separable-approximation sweep")
-    _add_common(p)
-    p.set_defaults(func=cmd_bsa)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 means "inconclusive" here;
+        # --help exits 0
+        return EXIT_ERROR if exc.code else 0
+    try:
+        _load(args)
         return args.func(args)
-    except SepcheckError as exc:
+    except Exception as exc:
+        # exits 1 and 2 are verdicts, so every failure exits 3; only a
+        # failure that is not a bad input or output keeps its traceback
+        if not isinstance(exc, (OSError, ValueError, SepcheckError)):
+            traceback.print_exc()
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

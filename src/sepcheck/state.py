@@ -9,6 +9,7 @@ taken in this computational basis.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +30,13 @@ __all__ = [
     "swap_parties",
     "reconstruction",
     "canonicalize",
+    "vector_to_json",
     "state_to_json",
     "state_from_json",
-    "save_state",
+    "decomposition_to_json",
+    "decomposition_from_json",
+    "read_json",
+    "write_json",
     "load_state",
 ]
 
@@ -119,8 +124,8 @@ class Decomposition:
     def __post_init__(self):
         terms = tuple((float(w), pv) for w, pv in self.terms)
         for w, _ in terms:
-            if w <= 0.0:
-                raise ValueError("decomposition weights must be positive")
+            if not 0.0 < w < np.inf:
+                raise ValueError(f"decomposition weights must be positive and finite, got {w!r}")
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "residual", float(self.residual))
 
@@ -248,22 +253,31 @@ def canonicalize(dec: Decomposition) -> Decomposition:
 
 
 # ---------------------------------------------------------------------------
-# JSON state document
+# JSON documents: complex numbers are [re, im] pairs
 # ---------------------------------------------------------------------------
 
-def _matrix_to_pairs(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+def vector_to_json(v: np.ndarray) -> list:
+    return [[float(z.real), float(z.imag)] for z in v]
 
 
-def _pairs_to_matrix(rows) -> np.ndarray:
-    return np.array([[complex(p[0], p[1]) for p in row] for row in rows], dtype=complex)
+def _from_pairs(pairs, shape: tuple, what: str) -> np.ndarray:
+    """Complex array of ``shape`` from nested [re, im] pairs, bit for bit."""
+    try:
+        a = np.array(pairs, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{what} must hold [re, im] number pairs: {exc}") from None
+    if a.shape != (*shape, 2):
+        raise ValueError(f"{what} has shape {a.shape}, expected {(*shape, 2)}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{what} contains non-finite entries")
+    return a.view(complex)[..., 0]
 
 
 def state_to_json(s: BipartiteState) -> dict:
     return {
         "dim_a": s.dim_a,
         "dim_b": s.dim_b,
-        "matrix": _matrix_to_pairs(s.rho),
+        "matrix": [vector_to_json(row) for row in s.rho],
     }
 
 
@@ -275,20 +289,51 @@ def state_from_json(doc: dict, tol: Tolerances = DEFAULT_TOL) -> BipartiteState:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state document: {exc}") from exc
     mn = dim_a * dim_b
-    if len(rows) != mn or any(len(r) != mn for r in rows):
-        raise ValueError(f"matrix layout does not match dims {dim_a}x{dim_b}")
-    mat = _pairs_to_matrix(rows)
+    mat = _from_pairs(rows, (mn, mn), f"matrix of a {dim_a}x{dim_b} state")
     tr = float(np.trace(mat).real)
     normalized = abs(tr - 1.0) <= tol.residual_abs
     return BipartiteState(dim_a, dim_b, mat, normalized=normalized, tol=tol)
 
 
-def save_state(s: BipartiteState, path) -> None:
+def decomposition_to_json(dec: Decomposition) -> dict:
+    """The decomposition document: weighted product terms and the residual."""
+    return {
+        "terms": [
+            {"weight": w, "e": vector_to_json(pv.e), "f": vector_to_json(pv.f)}
+            for w, pv in dec.terms
+        ],
+        "residual": dec.residual,
+    }
+
+
+def decomposition_from_json(doc: dict, dim_a: int, dim_b: int) -> Decomposition:
+    """Read a decomposition document whose terms live on C^dim_a (x) C^dim_b."""
+    try:
+        terms = [
+            (float(t["weight"]),
+             ProductVector(_from_pairs(t["e"], (dim_a,), f"term {i} e"),
+                           _from_pairs(t["f"], (dim_b,), f"term {i} f")))
+            for i, t in enumerate(doc["terms"])
+        ]
+        return Decomposition(tuple(terms), float(doc["residual"]))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed decomposition document: {exc!r}") from None
+
+
+def read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def write_json(doc, path=None) -> None:
+    """Write a document as sorted, indented JSON to ``path``, or to stdout."""
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_to_json(s), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_state(path, tol: Tolerances = DEFAULT_TOL) -> BipartiteState:
-    with open(path, encoding="utf-8") as fh:
-        return state_from_json(json.load(fh), tol)
+    return state_from_json(read_json(path), tol)

@@ -5,8 +5,11 @@ import sys
 import numpy as np
 import pytest
 
+from sepcheck.canon import decompose_rank_n
+from sepcheck.certify import separability_check
 from sepcheck.cli import main
-from sepcheck.state import load_state
+from sepcheck.fixtures import GeneratorSpec, generate
+from sepcheck.state import decomposition_from_json, load_state
 
 
 def run_cli(args):
@@ -186,6 +189,95 @@ class TestOtherCommands:
         c = tmp_path / "c.json"
         main(["generate", str(c), "--dims", "2", "2", "--terms", "2", "--seed", "11"])
         assert a.read_bytes() == c.read_bytes()
+
+
+def assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+class TestErrorsExitThree:
+    # exit 2 means "inconclusive", so a usage error must not take argparse's 2
+    @pytest.mark.parametrize("argv, code", [
+        ([], 3),
+        (["frobnicate", "{state}"], 3),
+        (["certify"], 3),
+        (["certify", "{state}", "--tol-rank", "abc"], 3),
+        (["generate", "{dir}/g.json", "--dims", "2"], 3),
+        (["bsa", "{state}"], 3),
+        (["--help"], 0),
+        (["certify", "--help"], 0),
+    ])
+    def test_usage(self, separable_doc, argv, code):
+        argv = [a.format(state=separable_doc, dir=separable_doc.parent) for a in argv]
+        assert main(argv) == code
+
+    @pytest.mark.parametrize("argv, env_seed", [
+        (["certify", "{state}", "--tol-rank", "0.5"], None),
+        (["generate", "{dir}/g.json", "--tol-psd", "-1"], None),
+        (["certify", "{state}"], "abc"),
+        (["inspect", "{dir}/nonnumeric.json"], None),
+    ])
+    def test_bad_flag_environment_or_state(self, separable_doc, capsys, monkeypatch,
+                                           argv, env_seed):
+        if env_seed is not None:
+            monkeypatch.setenv("SEPCHECK_SEED", env_seed)
+        bad = {"dim_a": 1, "dim_b": 1, "matrix": [[["x", 0.0]]]}
+        (separable_doc.parent / "nonnumeric.json").write_text(json.dumps(bad))
+        argv = [a.format(state=separable_doc, dir=separable_doc.parent) for a in argv]
+        assert main(argv) == 3
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "{state}", "--seed", "7", "--certificate-out", "{dir}/no/such/c.json"],
+        ["generate", "{dir}/no/such/g.json", "--dims", "2", "2", "--terms", "2"],
+        ["decompose", "{state}", "--seed", "2", "--out", "{dir}/no/such/d.json"],
+    ])
+    def test_unwritable_output_prints_no_result(self, separable_doc, capsys, argv):
+        argv = [a.format(state=separable_doc, dir=separable_doc.parent) for a in argv]
+        assert main(argv) == 3
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("defect", ["non_numeric", "nan_weight", "wrong_dims"])
+    def test_bsa_rejects_bad_projectors(self, separable_doc, tmp_path, capsys, defect):
+        doc = json.loads((tmp_path / "sep.json.decomp.json").read_text())
+        if defect == "non_numeric":
+            doc["terms"][1]["f"] = "x"
+        elif defect == "nan_weight":
+            doc["terms"][0]["weight"] = float("nan")
+        else:
+            # Bob vectors of a 3x2 state against the 3x3 input
+            for term in doc["terms"]:
+                term["f"] = term["f"][:2]
+        projectors = tmp_path / "projectors.json"
+        projectors.write_text(json.dumps(doc))
+        assert main(["bsa", str(separable_doc), "--projectors", str(projectors)]) == 3
+        assert_one_error_line(capsys)
+
+
+def _bits(dec):
+    terms = [(np.float64(w).tobytes(), pv.e.tobytes(), pv.f.tobytes()) for w, pv in dec.terms]
+    return terms, np.float64(dec.residual).tobytes()
+
+
+class TestDecompositionDocument:
+    def test_sidecars_decode_bit_exact(self, separable_doc, tmp_path):
+        def read(name):
+            return decomposition_from_json(json.loads((tmp_path / name).read_text()), 3, 3)
+
+        state = load_state(separable_doc)
+        _, planted = generate(GeneratorSpec(dims=(3, 3), term_count=3, seed=7))
+        assert _bits(read("sep.json.decomp.json")) == _bits(planted)
+
+        assert main(["certify", str(separable_doc), "--seed", "7"]) == 0
+        cert = separability_check(state, seed=7).certificate
+        assert _bits(read("sep.json.certificate.json")) == _bits(cert)
+
+        assert main(["decompose", str(separable_doc), "--seed", "2",
+                     "--out", str(tmp_path / "dec.json")]) == 0
+        assert _bits(read("dec.json")) == _bits(decompose_rank_n(state, seed=2))
 
 
 class TestStartUp:
