@@ -5,7 +5,8 @@ rank-deficient (distillable) inputs.  Rank-N states are decomposed exactly;
 states inside the rank-sum window go through the eligible-vector search and
 one nonnegative least-squares solve over the finite candidate set decides
 whether the state is in the cone of its projectors.  The best-separable-
-approximation iteration is a separate stage, not part of this decision.
+approximation iteration is a separate stage, not part of this decision; its
+updates are closed-form, so the module needs nothing beyond numpy.
 """
 
 from __future__ import annotations
@@ -15,8 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    CanonicalMismatch,
     DecompositionFailed,
+    NonCommutingFamily,
     NonGeneric,
+    NonNormal,
     NotPPT,
     PreconditionFailed,
     RankSumTooHigh,
@@ -111,9 +115,9 @@ def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     return x, float(np.linalg.norm(a @ x - b))
 
 
-# scipy.optimize costs about half a second to import, and only BSA's
-# pairwise pass needs it, so it is imported on first use.  The name stays a
-# module attribute that callers (and tracers) can look up or replace.
+# No sepcheck code calls this.  It stays only because perfbench/tracing.py
+# looks the name up with a bare getattr; it goes once the tracer skips
+# absent names (ROADMAP item 1).
 
 def minimize_scalar(*args, **kwargs):
     """``scipy.optimize.minimize_scalar``, imported on the first call."""
@@ -253,20 +257,43 @@ def _certify_eligible(
 # Best separable approximation
 # ---------------------------------------------------------------------------
 
-def _max_weight(x: np.ndarray, v: np.ndarray, tol: Tolerances) -> float:
-    """Largest t with x - t |v><v| still PSD: 1 / <v| x^+ |v> on the range.
+_SAFE = 1.0 - 1e-12  # keeps accumulated float error from breaking positivity
 
-    Zero when v sticks out of the range of x (nothing can be subtracted).
+
+def _inverse_gram(x: np.ndarray, vs: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """<v_a| x^+ |v_b> over the unit columns of vs, zero for any outside range(x).
+
+    The largest weight of v that x can give up is 1 / <v| x^+ |v>, and none
+    when v sticks out of the range of x.
     """
-    basis = range_basis(x, tol)
-    inside = basis @ (basis.conj().T @ v)
-    if np.linalg.norm(v - inside) > 1e-7 * max(1.0, np.linalg.norm(v)):
-        return 0.0
-    quad = float(np.real(np.vdot(v, pseudo_inverse(x, tol) @ v)))
-    if quad <= 0.0:
-        return 0.0
-    # tiny safety factor so accumulated float error cannot break positivity
-    return (1.0 / quad) * (1.0 - 1e-12)
+    xp = pseudo_inverse(x, tol)
+    inside = np.linalg.norm(x @ (xp @ vs) - vs, axis=0) <= 1e-7
+    return (vs.conj().T @ xp @ vs) * np.outer(inside, inside)
+
+
+def _pair_weights(grams: np.ndarray) -> tuple[float, float]:
+    """Largest w_i + w_j with x - w_i P_i - w_j P_j PSD on every side.
+
+    On a side with q_i, q_j the diagonal and c = |<v_j|x^+|v_i>|,
+    Sherman-Morrison gives the largest w_j once t P_i is taken away:
+    h(t) = u / (q_j u + t c^2) with u = 1 - t q_i, for 0 <= t < 1 / q_i.
+    Each t + h(t) is concave with its peak at t* = (q_j - c) / (q_i q_j - c^2),
+    so the maximum of t + min(h_1, h_2) lies at an endpoint, a side's t* or
+    a crossing h_1 = h_2, a root of a quadratic.
+    """
+    qi, qj, c = grams[:, 0, 0].real, grams[:, 1, 1].real, np.abs(grams[:, 0, 1])
+    d = qi * qj - c * c
+    t_end = _SAFE / qi.max()
+    dq, c2 = qj[1] - qj[0], c * c
+    crossing = np.roots([qi[0] * qi[1] * dq - qi[0] * c2[1] + qi[1] * c2[0],
+                         c2[1] - c2[0] - (qi[0] + qi[1]) * dq,
+                         dq])
+    ts = np.concatenate([[0.0, t_end], (qj - c)[d > 0] / d[d > 0], crossing.real])
+    ts = np.clip(ts, 0.0, t_end)[:, None]
+    u = 1.0 - ts * qi
+    h = np.min(u / (qj * u + ts * c2), axis=1)
+    best = int(np.argmax(ts[:, 0] + h))
+    return float(ts[best, 0]), _SAFE * float(h[best])
 
 
 def bsa_decompose(
@@ -280,97 +307,61 @@ def bsa_decompose(
     Cyclic single-index maximization sets each weight to the largest value
     keeping both the remainder and its partial transpose PSD; stalls are
     broken by pairwise sweeps that maximize two weights jointly along the
-    feasibility frontier with a bounded one-dimensional search.  The trace
-    of the total weight is non-decreasing by construction.
+    feasibility frontier in closed form.  Both remainders are kept up to
+    date, so each step costs one pseudo-inverse per side.  A pair update
+    that would lower the total weight is rejected, so the trace of the
+    total weight is non-decreasing by construction.
     """
     k = len(projectors)
-    rho = s.rho
-    rho_t = partial_transpose(s)
+    rest = [s.rho.copy(), partial_transpose(s)]
     if k == 0:
-        return BsaResult(np.zeros(0), 0.0, rho.copy(), True, 0, (0.0,))
+        return BsaResult(np.zeros(0), 0.0, rest[0], True, 0, (0.0,))
 
-    vs = [pv.vec() for pv in projectors]
-    vs = [v / np.linalg.norm(v) for v in vs]
-    vts = [np.kron((pv.e / np.linalg.norm(pv.e)).conj(), pv.f / np.linalg.norm(pv.f))
-           for pv in projectors]
-    ps = [np.outer(v, v.conj()) for v in vs]
-    pts = [np.outer(vt, vt.conj()) for vt in vts]
+    units = [(pv.e / np.linalg.norm(pv.e), pv.f / np.linalg.norm(pv.f)) for pv in projectors]
+    vecs = [np.column_stack([np.kron(e, f) for e, f in units]),
+            np.column_stack([np.kron(e.conj(), f) for e, f in units])]
+
+    def take(i: int, dw: float) -> None:
+        # subtract dw more of projector i from both remainders
+        for r, v in zip(rest, vecs):
+            r -= dw * np.outer(v[:, i], v[:, i].conj())
+
+    def grams(*idx: int) -> np.ndarray:
+        return np.array([_inverse_gram(r, v[:, list(idx)], tol) for r, v in zip(rest, vecs)])
 
     weights = np.zeros(k)
     lam_trace = [0.0]
-
-    def _rest(i: int | None = None, j: int | None = None):
-        skip = {i, j}
-        acc = rho.copy()
-        acc_t = rho_t.copy()
-        for idx in range(k):
-            if idx in skip or weights[idx] == 0.0:
-                continue
-            acc -= weights[idx] * ps[idx]
-            acc_t -= weights[idx] * pts[idx]
-        return acc, acc_t
-
-    def _single_max(i: int, x: np.ndarray, xt: np.ndarray) -> float:
-        return max(0.0, min(_max_weight(x, vs[i], tol), _max_weight(xt, vts[i], tol)))
-
-    iterations = 0
     converged = False
-    for sweep in range(max_iters):
-        iterations = sweep + 1
-        before = float(np.sum(weights))
+    while not converged and len(lam_trace) <= max_iters:
+        before = lam_trace[-1]
         for i in range(k):
-            x, xt = _rest(i)
-            weights[i] = _single_max(i, x, xt)
+            take(i, -weights[i])
+            q = grams(i)[:, 0, 0].real
+            weights[i] = _SAFE / q.max() if q.min() > 0.0 else 0.0
+            take(i, weights[i])
         after = float(np.sum(weights))
-        improved = after - before
-        if improved < tol.residual_abs:
-            # pairwise pass: maximize w_i + w_j along the frontier
+        if after - before < tol.residual_abs:
             for i in range(k):
                 for j in range(i + 1, k):
-                    x, xt = _rest(i, j)
-                    t_max = _single_max(i, x, xt)
-
-                    def _joint(t: float) -> float:
-                        xi = x - t * ps[i]
-                        xti = xt - t * pts[i]
-                        return t + max(
-                            0.0, min(_max_weight(xi, vs[j], tol), _max_weight(xti, vts[j], tol))
-                        )
-
-                    best_t, best_val = weights[i], weights[i] + weights[j]
-                    for t0 in (0.0, t_max):
-                        val = _joint(t0)
-                        if val > best_val:
-                            best_t, best_val = t0, val
-                    if t_max > 0.0:
-                        res = minimize_scalar(
-                            lambda t: -_joint(t), bounds=(0.0, t_max), method="bounded",
-                            options={"maxiter": 40, "xatol": 1e-10},
-                        )
-                        if -res.fun > best_val:
-                            best_t, best_val = float(res.x), float(-res.fun)
-                    if best_val > weights[i] + weights[j] + 1e-15:
-                        weights[i] = best_t
-                        xi = x - best_t * ps[i]
-                        xti = xt - best_t * pts[i]
-                        weights[j] = max(
-                            0.0, min(_max_weight(xi, vs[j], tol), _max_weight(xti, vts[j], tol))
-                        )
-            after_pair = float(np.sum(weights))
-            lam_trace.append(after_pair)
-            if after_pair - before < tol.residual_abs:
-                converged = True
-                break
-        else:
-            lam_trace.append(after)
+                    total, pair = float(np.sum(weights)), weights[[i, j]]
+                    take(i, -pair[0])
+                    take(j, -pair[1])
+                    gs = grams(i, j)
+                    # a zero diagonal means that weight is pinned at 0
+                    if np.all(np.diagonal(gs, axis1=1, axis2=2).real > 0.0):
+                        weights[[i, j]] = _pair_weights(gs)
+                        if float(np.sum(weights)) <= total:
+                            weights[[i, j]] = pair
+                    take(i, weights[i])
+                    take(j, weights[j])
+            after = float(np.sum(weights))
+            converged = after - before < tol.residual_abs
+        lam_trace.append(after)
 
     lam = float(np.sum(weights))
-    remainder = rho - sum(w * p for w, p in zip(weights, ps)) if k else rho
-    if lam < 1.0 - tol.residual_abs:
-        delta = remainder / (1.0 - lam)
-    else:
-        delta = np.zeros_like(rho)
-    return BsaResult(weights.copy(), lam, delta, converged, iterations, tuple(lam_trace))
+    delta = rest[0] / (1.0 - lam) if lam < 1.0 - tol.residual_abs else np.zeros_like(rest[0])
+    return BsaResult(weights.copy(), lam, delta, converged, len(lam_trace) - 1,
+                     tuple(lam_trace))
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +453,11 @@ def separability_check(
         except (NotPPT, RankTooLow) as exc:
             return Verdict(ENTANGLED, type(exc).__name__, None, diag)
         except DecompositionFailed:
+            return Verdict(INCONCLUSIVE, "BudgetExhausted", None, diag)
+        except (CanonicalMismatch, NonCommutingFamily, NonNormal) as exc:
+            # the canonical-form identities failed at this tolerance: no
+            # certificate, but no evidence of entanglement either
+            diag["rank_n_error"] = str(exc)
             return Verdict(INCONCLUSIVE, "BudgetExhausted", None, diag)
         return Verdict(SEPARABLE, None, _lift_certificate(cert, va, vb, s, tol), diag)
 

@@ -77,13 +77,16 @@ def _hermitize(m: np.ndarray, tol: Tolerances, what: str = "matrix") -> np.ndarr
     return 0.5 * (m + m.conj().T)
 
 
-def numerical_rank(m, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Number of singular values above ``rank_rel`` times the largest one."""
-    a = as_cmatrix(m)
-    s = np.linalg.svd(a, compute_uv=False)
+def _rank(s: np.ndarray, tol: Tolerances) -> int:
+    """Count of singular values (sorted descending) above ``rank_rel * s[0]``."""
     if s.size == 0 or s[0] <= 0.0:
         return 0
     return int(np.count_nonzero(s > tol.rank_rel * s[0]))
+
+
+def numerical_rank(m, tol: Tolerances = DEFAULT_TOL) -> int:
+    """Number of singular values above ``rank_rel`` times the largest one."""
+    return _rank(np.linalg.svd(as_cmatrix(m), compute_uv=False), tol)
 
 
 def kernel_basis(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -91,24 +94,14 @@ def kernel_basis(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
     The returned array has shape (cols, cols - numerical_rank(m)).
     """
-    a = as_cmatrix(m)
-    _, s, vh = np.linalg.svd(a)
-    if s.size == 0 or s[0] <= 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > tol.rank_rel * s[0]))
-    return vh[rank:].conj().T
+    _, s, vh = np.linalg.svd(as_cmatrix(m))
+    return vh[_rank(s, tol):].conj().T
 
 
 def range_basis(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the numerical column space, one vector per column."""
-    a = as_cmatrix(m)
-    u, s, _ = np.linalg.svd(a)
-    if s.size == 0 or s[0] <= 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > tol.rank_rel * s[0]))
-    return u[:, :rank]
+    u, s, _ = np.linalg.svd(as_cmatrix(m))
+    return u[:, :_rank(s, tol)]
 
 
 def pseudo_inverse(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

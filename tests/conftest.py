@@ -148,6 +148,20 @@ def orthogonal_product_mixture(sigma_terms, dims, seed, samples_per_split=2):
     return BipartiteState(m, n, rho, normalized=True)
 
 
+def near_product_rank_n_state(eps=1e-3, seed=0):
+    """A rank-3 2x3 state from three Haar product vectors, the first pushed
+    off the product set by eps times a Gaussian vector.
+
+    Under a PSD floor of 1e-3 or looser it passes the PPT screen, and its
+    canonical-form blocks are not normal within tolerance.
+    """
+    rng = np.random.default_rng(seed)
+    vs = [np.kron(haar_vector(2, rng), haar_vector(3, rng)) for _ in range(3)]
+    vs[0] = vs[0] + eps * (rng.normal(size=6) + 1j * rng.normal(size=6))
+    rho = sum(np.outer(v, v.conj()) for v in vs)
+    return BipartiteState(2, 3, rho / np.trace(rho).real, normalized=True)
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)

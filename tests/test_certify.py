@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import orthogonal_product_mixture
+from conftest import near_product_rank_n_state, orthogonal_product_mixture
 from sepcheck.certify import (
     BsaResult,
     bsa_decompose,
@@ -188,6 +188,27 @@ class TestBsa:
             rem_state = BipartiteState(3, 3, remainder + 1e-13 * np.eye(9))
             assert np.linalg.eigvalsh(partial_transpose(rem_state))[0] >= -1e-8
 
+    @pytest.mark.parametrize("i", [2, 14, 26])
+    def test_trace_monotone_with_probes_outside_the_decomposition(self, i):
+        # six planted terms mixed with tiles at mu = 0.8, plus two Haar
+        # product probes that are not in the decomposition
+        mu = 0.8
+        st, dec = random_separable(GeneratorSpec(dims=(3, 3), term_count=6, seed=9000 + i))
+        mixed = BipartiteState(3, 3, mu * st.rho + (1 - mu) * tiles_upb_state().rho,
+                               normalized=True)
+        rng = np.random.default_rng(i)
+        projs = [pv for _, pv in dec.terms] + [
+            ProductVector(haar_vector(3, rng), haar_vector(3, rng)) for _ in range(2)]
+        res = bsa_decompose(mixed, projs, max_iters=200)
+        trace = res.lam_trace
+        assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
+        remainder = mixed.rho - reconstruction(
+            [(w, pv) for w, pv in zip(res.weights, projs) if w > 0], 3, 3)
+        rem_pt = remainder.reshape(3, 3, 3, 3).transpose(2, 1, 0, 3).reshape(9, 9)
+        assert np.linalg.eigvalsh(remainder)[0] >= -1e-9
+        assert np.linalg.eigvalsh(rem_pt)[0] >= -1e-9
+        assert res.lam >= mu - 1e-4
+
     def test_empty_projector_list(self):
         st, _ = random_separable(GeneratorSpec(dims=(2, 2), term_count=2, seed=4))
         res = bsa_decompose(st, [])
@@ -313,6 +334,16 @@ class TestPipeline:
 
 
 class TestPipelineEdges:
+    def test_canonical_mismatch_is_inconclusive(self):
+        # a loosened PSD floor lets a near-product NPT state through to the
+        # rank-N stage, whose canonical-form identities then fail
+        from sepcheck.numlin import Tolerances
+
+        verdict = separability_check(near_product_rank_n_state(), Tolerances(psd_abs=1e-2))
+        assert (verdict.status, verdict.reason) == ("Inconclusive", "BudgetExhausted")
+        assert verdict.diagnostics["method"] == "rank_n_decomposition"
+        assert "not normal" in verdict.diagnostics["rank_n_error"]
+
     def test_rank_below_local_detected_under_loose_psd(self):
         # a near-product entangled pure state whose partial-transpose
         # negativity hides below a loosened PSD floor: the rank test still

@@ -5,11 +5,12 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import near_product_rank_n_state
 from sepcheck.canon import decompose_rank_n
 from sepcheck.certify import separability_check
 from sepcheck.cli import main
 from sepcheck.fixtures import GeneratorSpec, generate
-from sepcheck.state import decomposition_from_json, load_state
+from sepcheck.state import decomposition_from_json, load_state, state_to_json, write_json
 
 
 def run_cli(args):
@@ -116,6 +117,15 @@ class TestCertify:
         path.write_text(json.dumps(doc))
         code = main(["certify", str(path)])
         assert code == 2
+
+    def test_rank_n_breakdown_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "near.json"
+        write_json(state_to_json(near_product_rank_n_state()), path)
+        code = main(["certify", str(path), "--tol-psd", "1e-3"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert out["reason"] == "BudgetExhausted"
+        assert "rank_n_error" in out["diagnostics"]
 
     def test_byte_identical_reruns(self, tmp_path):
         # end-to-end determinism through the real process entry point
@@ -321,6 +331,7 @@ class TestStartUp:
             (["certify", str(separable_doc), "--seed", "7"], 0),
             (["certify", str(eligible_doc), "--seed", "5"], 0),
             (["certify", str(tiles_doc), "--seed", "5"], 1),
+            (["bsa", str(separable_doc), "--projectors", f"{separable_doc}.decomp.json"], 0),
         ]
         for args, code in commands:
             assert self._probe(args) == [code, False, False], args
