@@ -1,11 +1,15 @@
 """Canonical-form construction and the rank-N product decomposition.
 
-A PPT state of rank N supported on M x N (M <= N) can be filtered into the
-form Z^dag Z with Z = [C_1, ..., C_{M-1}, I], where the C_k are a commuting
-family of normal matrices.  Joint eigenvectors of the family then yield an
-exact N-term product decomposition; when no Alice direction with a full-rank
-local block is found, one product projector is split off by a kernel-aligned
-subtraction and the remainder is decomposed recursively.
+A PPT state of rank N supported on M x N (M <= N) is separable with exactly
+N product terms, rho = sum_i |e_i f_i><e_i f_i|, and the f_i are linearly
+independent.  For an Alice direction a the local block
+<a| rho |a> = sum_i |<a|e_i>|^2 |f_i><f_i| therefore has full rank N unless
+a is orthogonal to some e_i, a proper algebraic set that a Haar draw misses
+with probability one.  With such an a in the last Alice slot and Bob
+filtered, the state takes the form Z^dag Z with Z = [C_1, ..., C_{M-1}, I],
+where the C_k are a commuting family of normal matrices; their joint
+eigenvectors yield the N terms.  That is the only route: there is no
+recursion, and an input on which every draw fails is not decomposed.
 """
 
 from __future__ import annotations
@@ -18,9 +22,7 @@ from .errors import (
     CanonicalMismatch,
     DecompositionFailed,
     DirectionNotFound,
-    NoAlignment,
     NotPPT,
-    RankDropViolation,
     RankTooLow,
 )
 from .numlin import (
@@ -33,17 +35,20 @@ from .numlin import (
     numerical_rank,
     pseudo_inverse,
 )
-from .reduce import probe_kernel_alignment, subtract_product
 from .state import (
     BipartiteState,
     Decomposition,
     ProductVector,
-    canonicalize,
     is_ppt,
-    reconstruction,
+    lift_decomposition,
     support_compress,
     swap_parties,
 )
+
+# No canon code calls reduce.  The import keeps sepcheck.reduce loaded
+# wherever canon is, because perfbench/tracing.py indexes sys.modules for
+# it; it goes with the reduce spans (ROADMAP item 1).
+from . import reduce  # noqa: F401
 
 __all__ = [
     "CanonicalForm",
@@ -51,6 +56,10 @@ __all__ = [
     "to_canonical_form",
     "decompose_rank_n",
 ]
+
+# Haar draws before find_full_rank_direction gives up.  On a valid input
+# each draw fails with probability zero.
+DIRECTION_DRAWS = 64
 
 
 @dataclass(frozen=True)
@@ -93,48 +102,22 @@ def _block_rank(s: BipartiteState, e: np.ndarray, tol: Tolerances) -> int:
 
 
 def find_full_rank_direction(
-    s: BipartiteState,
-    tol: Tolerances = DEFAULT_TOL,
-    seed=0,
-    budget: int = 64,
+    s: BipartiteState, tol: Tolerances = DEFAULT_TOL, seed=0
 ) -> np.ndarray:
     """Alice unit vector a with <a| rho |a> of full rank N.
 
-    Full-rank directions are generic for valid inputs, so Haar samples
-    almost surely succeed; a failure after the attempt budget signals the
-    recursive structure handled by the caller.  Samples restricted to Alice
-    sub-spans are interleaved to cover states whose good directions hide in
-    a coordinate subspace.
+    On a valid input the block sum_i |<a|e_i>|^2 |f_i><f_i| loses rank only
+    for a orthogonal to some e_i, so the first Haar draw succeeds almost
+    surely.  Raises DirectionNotFound after DIRECTION_DRAWS failed draws.
     """
     rng = _as_rng(seed)
     m, n = s.dim_a, s.dim_b
-    if m == 1:
-        a = np.ones(1, dtype=complex)
+    for _ in range(DIRECTION_DRAWS):
+        a = rng.normal(size=m) + 1j * rng.normal(size=m)
+        a = a / np.linalg.norm(a)
         if _block_rank(s, _local_block(s, a), tol) == n:
             return a
-        raise DirectionNotFound("the unique Alice direction has a deficient block")
-
-    def _sample(k: int) -> np.ndarray:
-        v = rng.normal(size=k) + 1j * rng.normal(size=k)
-        return v / np.linalg.norm(v)
-
-    attempts = 0
-    while attempts < budget:
-        a = _sample(m)
-        attempts += 1
-        if _block_rank(s, _local_block(s, a), tol) == n:
-            return a
-        # Every few Haar draws, try a vector supported on a random subset of
-        # the computational Alice directions.
-        if attempts % 4 == 0 and attempts < budget:
-            size = int(rng.integers(1, m))
-            support = rng.choice(m, size=size, replace=False)
-            a = np.zeros(m, dtype=complex)
-            a[support] = _sample(size)
-            attempts += 1
-            if _block_rank(s, _local_block(s, a), tol) == n:
-                return a
-    raise DirectionNotFound(f"no full-rank direction in {budget} attempts")
+    raise DirectionNotFound(f"no full-rank direction in {DIRECTION_DRAWS} Haar draws")
 
 
 def _complete_basis(a: np.ndarray) -> np.ndarray:
@@ -208,67 +191,41 @@ def _terms_from_canonical(
     return terms
 
 
-def _probe_bases(m: int, rng: np.random.Generator, budget: int):
-    """Candidate Alice bases: computational rotations first, then random."""
-    eye = np.eye(m, dtype=complex)
-    emitted = 0
-    for last in range(m):
-        if emitted >= budget:
-            return
-        order = [i for i in range(m) if i != last] + [last]
-        yield eye[:, order]
-        emitted += 1
-    from .fixtures import haar_unitary
-
-    while emitted < budget:
-        yield haar_unitary(m, rng)
-        emitted += 1
-
-
 def decompose_rank_n(
-    s: BipartiteState,
-    tol: Tolerances = DEFAULT_TOL,
-    seed=0,
-    direction_budget: int = 64,
-    probe_budget: int = 24,
+    s: BipartiteState, tol: Tolerances = DEFAULT_TOL, seed=0
 ) -> Decomposition:
     """Exact N-term product decomposition of a rank-N PPT state.
 
     Pipeline: compress to the supported space; check PPT and that the global
-    rank equals the larger local dimension; find a full-rank Alice direction
-    and decompose through the canonical form, or, failing that, split off a
-    kernel-aligned product projector and recurse.  The result has exactly N
-    terms, linearly independent Bob vectors, and reconstructs the input
-    within ``residual_abs``.
+    rank equals the larger local dimension; draw a full-rank Alice direction
+    and decompose through the canonical form.  The result has exactly N
+    terms, linearly independent vectors on the rank side, and reconstructs
+    the input within ``residual_abs``.  Any other outcome raises
+    DecompositionFailed, DirectionNotFound included.
     """
     rng = _as_rng(seed)
     sc, (va, vb) = support_compress(s, tol)
 
     if sc.dim_a > sc.dim_b:
-        flipped = decompose_rank_n(swap_parties(sc), tol, rng, direction_budget, probe_budget)
+        flipped = decompose_rank_n(swap_parties(sc), tol, rng)
         terms = [(w, ProductVector(pv.f, pv.e)) for w, pv in flipped.terms]
         large_side = [pv.e for _, pv in terms]
     else:
-        terms = _decompose_supported(sc, tol, rng, direction_budget, probe_budget)
+        terms = _decompose_supported(sc, tol, rng)
         large_side = [pv.f for _, pv in terms]
 
     # the local vectors on the larger (rank-carrying) side are independent
     if numerical_rank(np.array(large_side), tol) != len(terms):
         raise DecompositionFailed("decomposition vectors on the rank side are dependent")
 
-    lifted = [(w, ProductVector(va @ pv.e, vb @ pv.f)) for w, pv in terms]
-    residual = frob(s.rho - reconstruction(lifted, s.dim_a, s.dim_b))
-    if residual > tol.residual_abs * max(1.0, frob(s.rho)):
-        raise DecompositionFailed(f"reconstruction residual {residual:.3e} too large")
-    return canonicalize(Decomposition(tuple(lifted), residual))
+    dec = lift_decomposition(terms, va, vb, s)
+    if dec.residual > tol.residual_abs * max(1.0, frob(s.rho)):
+        raise DecompositionFailed(f"reconstruction residual {dec.residual:.3e} too large")
+    return dec
 
 
 def _decompose_supported(
-    sc: BipartiteState,
-    tol: Tolerances,
-    rng: np.random.Generator,
-    direction_budget: int,
-    probe_budget: int,
+    sc: BipartiteState, tol: Tolerances, rng: np.random.Generator
 ) -> list[tuple[float, ProductVector]]:
     m, n = sc.dim_a, sc.dim_b
     if not is_ppt(sc, tol):
@@ -283,46 +240,10 @@ def _decompose_supported(
         w, v = np.linalg.eigh(sc.rho)
         terms = []
         for i in range(n):
-            if w[i] <= tol.psd_abs * max(1.0, abs(sc.trace)):
+            if w[i] <= tol.psd_floor(sc.trace):
                 raise DecompositionFailed("rank-N state produced a negligible eigenvalue")
             terms.append((float(w[i]), ProductVector(np.ones(1, dtype=complex), v[:, i])))
         return terms
 
-    try:
-        a = find_full_rank_direction(sc, tol, rng, direction_budget)
-    except DirectionNotFound:
-        return _decompose_by_subtraction(sc, tol, rng, direction_budget, probe_budget)
-
-    cf = to_canonical_form(sc, a, tol)
+    cf = to_canonical_form(sc, find_full_rank_direction(sc, tol, rng), tol)
     return _terms_from_canonical(cf, n, tol)
-
-
-def _decompose_by_subtraction(
-    sc: BipartiteState,
-    tol: Tolerances,
-    rng: np.random.Generator,
-    direction_budget: int,
-    probe_budget: int,
-) -> list[tuple[float, ProductVector]]:
-    m = sc.dim_a
-    for basis in _probe_bases(m, rng, probe_budget):
-        try:
-            alignment = probe_kernel_alignment(sc, basis, tol)
-        except NoAlignment:
-            continue
-        if alignment.case != "image":
-            # A kernel-case hit on a supported state means the compression
-            # tolerance missed a direction; another basis may still work.
-            continue
-        try:
-            remainder = subtract_product(sc, alignment.step, tol)
-        except RankDropViolation:
-            continue
-        sub = decompose_rank_n(remainder, tol, rng, direction_budget, probe_budget)
-        g = alignment.step.g
-        weight = alignment.step.lam * float(np.linalg.norm(g) ** 2)
-        a_last = alignment.step.alice_basis[:, -1]
-        terms = list(sub.terms)
-        terms.append((weight, ProductVector(a_last, g / np.linalg.norm(g))))
-        return terms
-    raise DecompositionFailed("no full-rank direction and no kernel alignment found")

@@ -33,6 +33,7 @@ from .state import (
     ProductVector,
     canonicalize,
     decomposition_to_json,
+    lift_decomposition,
     partial_transpose,
     reconstruction,
     reduced_a,
@@ -258,6 +259,11 @@ def _certify_eligible(
 # ---------------------------------------------------------------------------
 
 _SAFE = 1.0 - 1e-12  # keeps accumulated float error from breaking positivity
+# A single-index sweep gaining less than this starts the pair pass.  It is
+# a constant, not residual_abs: single-index sweeps creep toward the
+# frontier, so a tight tolerance would hold the pair pass back until
+# max_iters ran out, far below the reachable lambda.
+_PAIR_TRIGGER = 1e-8
 
 
 def _inverse_gram(x: np.ndarray, vs: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -305,12 +311,14 @@ def bsa_decompose(
     """Maximize the separable weight over a fixed set of product projectors.
 
     Cyclic single-index maximization sets each weight to the largest value
-    keeping both the remainder and its partial transpose PSD; stalls are
-    broken by pairwise sweeps that maximize two weights jointly along the
-    feasibility frontier in closed form.  Both remainders are kept up to
-    date, so each step costs one pseudo-inverse per side.  A pair update
-    that would lower the total weight is rejected, so the trace of the
-    total weight is non-decreasing by construction.
+    keeping both the remainder and its partial transpose PSD; once a sweep
+    gains less than 1e-8, pairwise sweeps maximize two weights jointly along
+    the feasibility frontier in closed form.  Both remainders are kept up
+    to date, so each step costs one pseudo-inverse per side.  A pair update
+    that would lower the total weight is rejected, so pair updates never
+    lower it; single-index updates carry no such guarantee.  The iteration has
+    converged once a sweep with its pair pass gains less than
+    ``residual_abs``.
     """
     k = len(projectors)
     rest = [s.rho.copy(), partial_transpose(s)]
@@ -340,7 +348,7 @@ def bsa_decompose(
             weights[i] = _SAFE / q.max() if q.min() > 0.0 else 0.0
             take(i, weights[i])
         after = float(np.sum(weights))
-        if after - before < tol.residual_abs:
+        if after - before < _PAIR_TRIGGER:
             for i in range(k):
                 for j in range(i + 1, k):
                     total, pair = float(np.sum(weights)), weights[[i, j]]
@@ -398,13 +406,6 @@ def kernel_witness_bound(
 # Pipeline
 # ---------------------------------------------------------------------------
 
-def _lift_certificate(cert: Decomposition, va: np.ndarray, vb: np.ndarray,
-                      s: BipartiteState, tol: Tolerances) -> Decomposition:
-    lifted = [(w, ProductVector(va @ pv.e, vb @ pv.f)) for w, pv in cert.terms]
-    residual = frob(s.rho - reconstruction(lifted, s.dim_a, s.dim_b))
-    return canonicalize(Decomposition(tuple(lifted), residual))
-
-
 def separability_check(
     s: BipartiteState,
     tol: Tolerances = DEFAULT_TOL,
@@ -428,8 +429,7 @@ def separability_check(
 
     pt = partial_transpose(sc)
     w, vecs = np.linalg.eigh(pt)
-    floor = tol.psd_abs * max(1.0, abs(sc.trace))
-    if float(w[0]) < -floor:
+    if float(w[0]) < -tol.psd_floor(sc.trace):
         witness = np.kron(va.conj(), vb) @ vecs[:, 0]
         diag["npt_eigenvalue"] = float(w[0])
         diag["npt_witness"] = vector_to_json(witness)
@@ -459,7 +459,7 @@ def separability_check(
             # certificate, but no evidence of entanglement either
             diag["rank_n_error"] = str(exc)
             return Verdict(INCONCLUSIVE, "BudgetExhausted", None, diag)
-        return Verdict(SEPARABLE, None, _lift_certificate(cert, va, vb, s, tol), diag)
+        return Verdict(SEPARABLE, None, lift_decomposition(cert.terms, va, vb, s), diag)
 
     rank_sum = r + diag["rank_ta"]
     if rank_sum <= 2 * m * n - m - n + 2:
@@ -474,7 +474,7 @@ def separability_check(
         verdict = _certify_eligible(sc, es, tol, diag)
         cert = verdict.certificate
         if cert is not None:
-            cert = _lift_certificate(cert, va, vb, s, tol)
+            cert = lift_decomposition(cert.terms, va, vb, s)
         return Verdict(verdict.status, verdict.reason, cert, verdict.diagnostics)
 
     diag["method"] = "none"

@@ -115,7 +115,7 @@ def cmd_ppt(args) -> int:
     s = args.state
     # is_ppt's test, on the one eigenvalue both outputs need
     wmin = float(np.linalg.eigvalsh(partial_transpose(s))[0])
-    ppt = wmin >= -args.tol.psd_abs * max(1.0, abs(s.trace))
+    ppt = wmin >= -args.tol.psd_floor(s.trace)
     write_json({"ppt": ppt, "min_eigenvalue": wmin})
     return EXIT_SEPARABLE if ppt else EXIT_ENTANGLED
 

@@ -21,10 +21,6 @@ class RankDropViolation(SepcheckError):
     """A product subtraction failed to lower both ranks by exactly one."""
 
 
-class DirectionNotFound(SepcheckError):
-    """No Alice direction with a full-rank local block within the attempt budget."""
-
-
 class CanonicalMismatch(SepcheckError):
     """The filtered state violates the canonical block identities."""
 
@@ -39,6 +35,14 @@ class RankTooLow(SepcheckError):
 
 class DecompositionFailed(SepcheckError):
     """Numerical breakdown while assembling a product decomposition."""
+
+
+class DirectionNotFound(DecompositionFailed):
+    """No Haar-drawn Alice direction gave a full-rank local block.
+
+    On a PPT rank-N input a draw fails with probability zero, so this means
+    the rank decisions sit at the edge of the tolerance.
+    """
 
 
 class RankSumTooHigh(SepcheckError):

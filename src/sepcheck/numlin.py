@@ -21,6 +21,7 @@ __all__ = [
     "numerical_rank",
     "kernel_basis",
     "range_basis",
+    "kernel_and_range",
     "pseudo_inverse",
     "inv_sqrt_on_range",
     "joint_diagonalize",
@@ -34,7 +35,8 @@ class Tolerances:
     rank_rel
         relative singular-value cutoff for rank decisions
     psd_abs
-        absolute eigenvalue floor for positivity tests
+        absolute eigenvalue floor for positivity tests, scaled by the trace
+        in :meth:`psd_floor`
     residual_abs
         absolute Frobenius residual for reconstruction checks
     root_abs
@@ -51,6 +53,10 @@ class Tolerances:
             value = getattr(self, name)
             if not 0.0 < value <= 1e-2:
                 raise ValueError(f"{name} must lie in (0, 1e-2], got {value!r}")
+
+    def psd_floor(self, trace: float) -> float:
+        """How far below zero an eigenvalue of an operator with this trace may go."""
+        return self.psd_abs * max(1.0, abs(trace))
 
 
 DEFAULT_TOL = Tolerances()
@@ -94,14 +100,19 @@ def kernel_basis(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
     The returned array has shape (cols, cols - numerical_rank(m)).
     """
-    _, s, vh = np.linalg.svd(as_cmatrix(m))
-    return vh[_rank(s, tol):].conj().T
+    return kernel_and_range(m, tol)[0]
 
 
 def range_basis(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the numerical column space, one vector per column."""
-    u, s, _ = np.linalg.svd(as_cmatrix(m))
-    return u[:, :_rank(s, tol)]
+    return kernel_and_range(m, tol)[1]
+
+
+def kernel_and_range(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """``(kernel_basis(m), range_basis(m))``, both sliced from one SVD."""
+    u, s, vh = np.linalg.svd(as_cmatrix(m))
+    r = _rank(s, tol)
+    return vh[r:].conj().T, u[:, :r]
 
 
 def pseudo_inverse(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -124,8 +135,7 @@ def inv_sqrt_on_range(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """
     a = _hermitize(as_cmatrix(m), tol)
     w, v = np.linalg.eigh(a)
-    floor = tol.psd_abs * max(1.0, abs(float(np.trace(a).real)))
-    if w.size and float(w[0]) < -floor:
+    if w.size and float(w[0]) < -tol.psd_floor(float(np.trace(a).real)):
         raise ValueError("matrix is not positive semidefinite within tolerance")
     wmax = float(np.max(w)) if w.size else 0.0
     if wmax <= 0.0:

@@ -140,8 +140,7 @@ def subtract_product(
     r_after = numerical_rank(out.rho, tol)
     pt_after = partial_transpose(out)
     rt_after = numerical_rank(pt_after, tol)
-    floor = tol.psd_abs * max(1.0, abs(out.trace))
-    if float(np.linalg.eigvalsh(pt_after)[0]) < -floor:
+    if float(np.linalg.eigvalsh(pt_after)[0]) < -tol.psd_floor(out.trace):
         raise RankDropViolation("subtraction broke the PPT property")
     if r_after != r_before - 1 or rt_after != rt_before - 1:
         raise RankDropViolation(

@@ -27,6 +27,7 @@ __all__ = [
     "reduced_b",
     "local_filter",
     "support_compress",
+    "lift_decomposition",
     "swap_parties",
     "reconstruction",
     "canonicalize",
@@ -67,7 +68,7 @@ class BipartiteState:
             raise ValueError("density matrix is not Hermitian within tolerance")
         mat = 0.5 * (mat + mat.conj().T)
         tr = float(np.trace(mat).real)
-        floor = tol.psd_abs * max(1.0, abs(tr))
+        floor = tol.psd_floor(tr)
         wmin = float(np.linalg.eigvalsh(mat)[0]) if mn > 0 else 0.0
         if wmin < -floor:
             raise ValueError(f"density matrix has eigenvalue {wmin:.3e} below -{floor:.3e}")
@@ -157,8 +158,7 @@ def partial_transpose(s: BipartiteState) -> np.ndarray:
 def is_ppt(s: BipartiteState, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff the partial transpose has no eigenvalue below the PSD floor."""
     pt = partial_transpose(s)
-    floor = tol.psd_abs * max(1.0, abs(s.trace))
-    return float(np.linalg.eigvalsh(pt)[0]) >= -floor
+    return float(np.linalg.eigvalsh(pt)[0]) >= -tol.psd_floor(s.trace)
 
 
 def block(s: BipartiteState, i: int, j: int) -> np.ndarray:
@@ -221,6 +221,19 @@ def support_compress(
     rho_c = w.conj().T @ s.rho @ w
     out = BipartiteState(va.shape[1], vb.shape[1], rho_c, normalized=s.normalized, tol=tol)
     return out, (va, vb)
+
+
+def lift_decomposition(terms, va: np.ndarray, vb: np.ndarray,
+                       s: BipartiteState) -> Decomposition:
+    """Carry terms on a compressed space back through its isometries (Va, Vb).
+
+    The result is canonicalized and its residual is measured against ``s``,
+    the state that :func:`support_compress` compressed; checking it is the
+    caller's business.
+    """
+    lifted = [(w, ProductVector(va @ pv.e, vb @ pv.f)) for w, pv in terms]
+    residual = frob(s.rho - reconstruction(lifted, s.dim_a, s.dim_b))
+    return canonicalize(Decomposition(tuple(lifted), residual))
 
 
 def swap_parties(s: BipartiteState) -> BipartiteState:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateRowChoice, NonGeneric, RankSumTooHigh
-from .numlin import DEFAULT_TOL, Tolerances, kernel_basis, range_basis
+from .numlin import DEFAULT_TOL, Tolerances, kernel_and_range, range_basis
 from .state import BipartiteState, ProductVector, local_filter, partial_transpose
 
 __all__ = [
@@ -72,6 +72,8 @@ class KernelData:
 
     ``k_comps[i, m]`` is the Bob vector multiplying |m>_A in the i-th kernel
     vector of the state, ``kt_comps`` likewise for the partial transpose.
+    :func:`kernel_data` also keeps the two range bases, which the candidate
+    filter needs.
     """
 
     dim_a: int
@@ -80,6 +82,8 @@ class KernelData:
     k_rho_ta: np.ndarray     # (MN, kt)
     k_comps: np.ndarray      # (k, M, N)
     kt_comps: np.ndarray     # (kt, M, N)
+    r_rho: np.ndarray | None = None      # (MN, MN - k)
+    r_rho_ta: np.ndarray | None = None   # (MN, MN - kt)
 
     @property
     def k(self) -> int:
@@ -97,14 +101,14 @@ def kernel_data(s: BipartiteState, tol: Tolerances = DEFAULT_TOL) -> KernelData:
     eligible-vector search applies; smaller kernels raise RankSumTooHigh.
     """
     m, n = s.dim_a, s.dim_b
-    kr = kernel_basis(s.rho, tol)
-    kt = kernel_basis(partial_transpose(s), tol)
+    kr, rr = kernel_and_range(s.rho, tol)
+    kt, rt = kernel_and_range(partial_transpose(s), tol)
     if kr.shape[1] + kt.shape[1] < m + n - 2:
         raise RankSumTooHigh(
             f"kernel dims {kr.shape[1]} + {kt.shape[1]} below {m + n - 2}")
     k_comps = kr.T.reshape(kr.shape[1], m, n)
     kt_comps = kt.T.reshape(kt.shape[1], m, n)
-    return KernelData(m, n, kr, kt, k_comps, kt_comps)
+    return KernelData(m, n, kr, kt, k_comps, kt_comps, rr, rt)
 
 
 def constraint_matrix(kd: KernelData, alpha) -> np.ndarray:
@@ -805,15 +809,8 @@ def _polish_alpha(kd: KernelData, alpha: np.ndarray, iters: int = 500) -> tuple[
     return alpha, f
 
 
-def _range_projectors(s: BipartiteState, tol: Tolerances):
-    pr = range_basis(s.rho, tol)
-    pt = range_basis(partial_transpose(s), tol)
-    return pr, pt
-
-
 def _accept_candidate(
-    s: BipartiteState, kd: KernelData, alpha: np.ndarray, f: np.ndarray,
-    pr: np.ndarray, pt: np.ndarray, tol: Tolerances,
+    kd: KernelData, alpha: np.ndarray, f: np.ndarray, tol: Tolerances
 ) -> tuple[ProductVector, float] | None:
     e = alpha / np.linalg.norm(alpha)
     fn = f / np.linalg.norm(f)
@@ -823,6 +820,7 @@ def _accept_candidate(
         kernel_res = float(np.max(np.abs(a_mat @ fn)))
         if kernel_res > tol.root_abs:
             return None
+    pr, pt = kd.r_rho, kd.r_rho_ta
     v = np.kron(e, fn)
     if np.linalg.norm(v - pr @ (pr.conj().T @ v)) > tol.root_abs:
         return None
@@ -955,11 +953,10 @@ def enumerate_eligible(
             continue
         candidates.append(alpha)
 
-    pr, pt = _range_projectors(srot, tol)
     accepted: list[tuple[float, ProductVector]] = []
     for alpha in candidates:
         alpha, f = _polish_alpha(kd, alpha)
-        hit = _accept_candidate(srot, kd, alpha, f, pr, pt, tol)
+        hit = _accept_candidate(kd, alpha, f, tol)
         if hit is not None:
             pv, res = hit
             accepted.append((res, pv))

@@ -209,6 +209,29 @@ class TestBsa:
         assert np.linalg.eigvalsh(rem_pt)[0] >= -1e-9
         assert res.lam >= mu - 1e-4
 
+    def test_tight_residual_tolerance_still_reaches_the_optimum(self):
+        # sweep input 103: five planted 3x3 terms and one Haar probe, mixed
+        # at mu = 0.95 with I/9.  The pair pass starts at a fixed gain, so a
+        # tight reconstruction tolerance converges to the same lambda instead
+        # of creeping along single-index sweeps until max_iters runs out.
+        from sepcheck.numlin import Tolerances
+
+        st, dec = random_separable(GeneratorSpec(dims=(3, 3), term_count=5, seed=9103))
+        mixed = BipartiteState(3, 3, 0.95 * st.rho + 0.05 * np.eye(9) / 9, normalized=True)
+        rng = np.random.default_rng(103)
+        projs = [pv for _, pv in dec.terms] + [
+            ProductVector(haar_vector(3, rng), haar_vector(3, rng))]
+        reference = bsa_decompose(mixed, projs, max_iters=200)
+        res = bsa_decompose(mixed, projs, Tolerances(residual_abs=1e-12), max_iters=2000)
+        assert reference.converged and res.converged
+        # the default tolerance stops while sweeps still gain ~1e-8 each
+        assert abs(res.lam - reference.lam) <= 1e-7
+        remainder = mixed.rho - reconstruction(
+            [(w, pv) for w, pv in zip(res.weights, projs) if w > 0], 3, 3)
+        rem_pt = remainder.reshape(3, 3, 3, 3).transpose(2, 1, 0, 3).reshape(9, 9)
+        assert np.linalg.eigvalsh(remainder)[0] >= -1e-9
+        assert np.linalg.eigvalsh(rem_pt)[0] >= -1e-9
+
     def test_empty_projector_list(self):
         st, _ = random_separable(GeneratorSpec(dims=(2, 2), term_count=2, seed=4))
         res = bsa_decompose(st, [])
@@ -343,6 +366,32 @@ class TestPipelineEdges:
         assert (verdict.status, verdict.reason) == ("Inconclusive", "BudgetExhausted")
         assert verdict.diagnostics["method"] == "rank_n_decomposition"
         assert "not normal" in verdict.diagnostics["rank_n_error"]
+
+    def test_skewed_weights_rank_n_separable(self):
+        # four 3x4 product terms with weights spread over seven decades: the
+        # first Haar direction decomposes it
+        rng = np.random.default_rng(2540)
+        weights = 10.0 ** rng.uniform(-7, 0, size=4)
+        terms = [(float(w), ProductVector(haar_vector(3, rng), haar_vector(4, rng)))
+                 for w in weights]
+        st = BipartiteState(3, 4, reconstruction(terms, 3, 4))
+        verdict = separability_check(st, seed=0)
+        assert verdict.diagnostics["method"] == "rank_n_decomposition"
+        assert verdict.status == "Separable"
+        assert verdict.certificate.residual <= 1e-8
+
+    def test_direction_not_found_is_inconclusive(self, monkeypatch):
+        import sepcheck.canon
+        from sepcheck.errors import DirectionNotFound
+
+        def fail(*args, **kwargs):
+            raise DirectionNotFound("no full-rank direction")
+
+        monkeypatch.setattr(sepcheck.canon, "find_full_rank_direction", fail)
+        st, _ = random_separable(GeneratorSpec(dims=(3, 3), term_count=3, seed=12))
+        verdict = separability_check(st, seed=0)
+        assert (verdict.status, verdict.reason) == ("Inconclusive", "BudgetExhausted")
+        assert verdict.diagnostics["method"] == "rank_n_decomposition"
 
     def test_rank_below_local_detected_under_loose_psd(self):
         # a near-product entangled pure state whose partial-transpose

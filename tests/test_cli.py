@@ -174,6 +174,16 @@ class TestOtherCommands:
         assert len(doc["terms"]) == 3
         assert doc["residual"] <= 1e-8
 
+    def test_decompose_without_a_direction_exits_two(self, separable_doc, monkeypatch):
+        import sepcheck.canon
+        from sepcheck.errors import DirectionNotFound
+
+        def fail(*args, **kwargs):
+            raise DirectionNotFound("no full-rank direction")
+
+        monkeypatch.setattr(sepcheck.canon, "find_full_rank_direction", fail)
+        assert main(["decompose", str(separable_doc), "--seed", "2"]) == 2
+
     def test_eligible_vectors_on_tiles(self, tiles_doc, capsys):
         code = main(["eligible-vectors", str(tiles_doc), "--seed", "4"])
         out = json.loads(capsys.readouterr().out)
