@@ -3,10 +3,12 @@
 The pipeline first compresses to the supported space and rules out NPT and
 rank-deficient (distillable) inputs.  Rank-N states are decomposed exactly;
 states inside the rank-sum window go through the eligible-vector search and
-one nonnegative least-squares solve over the finite candidate set decides
-whether the state is in the cone of its projectors.  The best-separable-
-approximation iteration is a separate stage, not part of this decision; its
-updates are closed-form, so the module needs nothing beyond numpy.
+one nonnegative least-squares solve over the finite candidate set weighs
+its projectors.  Either certificate is lifted back to the input once and
+accepted only if it reconstructs the input (``lift_decomposition``).  The
+best-separable-approximation iteration is a separate stage, not part of
+this decision; its updates are closed-form, so the module needs nothing
+beyond numpy.
 """
 
 from __future__ import annotations
@@ -18,9 +20,7 @@ import numpy as np
 from .errors import (
     CanonicalMismatch,
     DecompositionFailed,
-    NonCommutingFamily,
     NonGeneric,
-    NonNormal,
     NotPPT,
     PreconditionFailed,
     RankSumTooHigh,
@@ -31,11 +31,9 @@ from .state import (
     BipartiteState,
     Decomposition,
     ProductVector,
-    canonicalize,
     decomposition_to_json,
     lift_decomposition,
     partial_transpose,
-    reconstruction,
     reduced_a,
     reduced_b,
     support_compress,
@@ -197,45 +195,34 @@ def _independent_reduction(
     return weights
 
 
-def _certificate_from_weights(
-    s: BipartiteState,
-    projs: list[ProductVector],
-    weights: np.ndarray,
-    tol: Tolerances,
-) -> Decomposition | None:
-    terms = [
-        (float(w), pv)
-        for w, pv in zip(weights, projs)
-        if w > tol.residual_abs
-    ]
-    if not terms:
-        return None
-    residual = frob(s.rho - reconstruction(terms, s.dim_a, s.dim_b))
-    if residual > tol.residual_abs * max(1.0, frob(s.rho)):
-        return None
-    return canonicalize(Decomposition(tuple(terms), residual))
-
-
 def certify_by_subsets(
     s: BipartiteState, es: EligibleSet, tol: Tolerances = DEFAULT_TOL
 ) -> Verdict:
     """Decide separability over an exhaustive finite set of eligible vectors.
 
     An empty exhaustive set certifies entanglement outright.  Otherwise one
-    nonnegative least-squares solve over all candidate projectors decides
-    whether the state lies in their cone; its residual is reported as
-    ``nnls_residual``.  The weights are reduced to linearly independent
-    projectors, which keeps the certificate within min(r^2, r_ta^2) terms.
-    A residual above tolerance is inconclusive, never entangled, since the
-    set may miss a vector although it claims to be exhaustive.
+    nonnegative least-squares solve over all candidate projectors weighs
+    them; its residual is reported as ``nnls_residual``.  The weights are
+    reduced to linearly independent projectors, which keeps the certificate
+    within min(r^2, r_ta^2) terms, and the certificate must pass
+    :func:`lift_decomposition`'s residual check.  One that fails is
+    inconclusive, never entangled, since the set may miss a vector although
+    it claims to be exhaustive.
     """
-    return _certify_eligible(s, es, tol, _diagnostics(s, tol))
+    eye = (np.eye(s.dim_a, dtype=complex), np.eye(s.dim_b, dtype=complex))
+    return _certify_eligible(s, s, eye, es, tol, _diagnostics(s, tol))
 
 
 def _certify_eligible(
-    s: BipartiteState, es: EligibleSet, tol: Tolerances, diag: dict
+    s: BipartiteState,
+    sc: BipartiteState,
+    isometries: tuple[np.ndarray, np.ndarray],
+    es: EligibleSet,
+    tol: Tolerances,
+    diag: dict,
 ) -> Verdict:
-    # certify_by_subsets with the state's diagnostics already measured
+    # certify_by_subsets on the compression sc of s, with sc's diagnostics
+    # already measured; the certificate is lifted to s and checked there
     diag = dict(diag)
     if len(es.vectors) == 0:
         if es.exhaustive:
@@ -244,14 +231,15 @@ def _certify_eligible(
 
     projs = list(es.vectors)
     feats = np.column_stack([_features(pv.projector()) for pv in projs])
-    sol, rnorm = nnls(feats, _features(s.rho))
+    sol, rnorm = nnls(feats, _features(sc.rho))
     diag["nnls_residual"] = rnorm
-    if rnorm <= tol.residual_abs * max(1.0, frob(s.rho)):
-        weights = _independent_reduction(feats, sol, tol)
-        cert = _certificate_from_weights(s, projs, weights, tol)
-        if cert is not None:
-            return Verdict(SEPARABLE, None, cert, diag)
-    return Verdict(INCONCLUSIVE, "BudgetExhausted", None, diag)
+    weights = _independent_reduction(feats, sol, tol)
+    terms = [(float(w), pv) for w, pv in zip(weights, projs) if w > tol.residual_abs]
+    try:
+        cert = lift_decomposition(terms, *isometries, s, tol)
+    except DecompositionFailed:
+        return Verdict(INCONCLUSIVE, "BudgetExhausted", None, diag)
+    return Verdict(SEPARABLE, None, cert, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +409,7 @@ def separability_check(
     """
     from .canon import decompose_rank_n
 
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     sc, (va, vb) = support_compress(s, tol)
     diag = _diagnostics(sc, tol)
     diag["compressed_dims"] = [sc.dim_a, sc.dim_b]
@@ -449,17 +437,17 @@ def separability_check(
     if r == max(m, n):
         diag["method"] = "rank_n_decomposition"
         try:
-            cert = decompose_rank_n(sc, tol, rng)
+            cert = decompose_rank_n(s, tol, rng)
         except (NotPPT, RankTooLow) as exc:
             return Verdict(ENTANGLED, type(exc).__name__, None, diag)
         except DecompositionFailed:
             return Verdict(INCONCLUSIVE, "BudgetExhausted", None, diag)
-        except (CanonicalMismatch, NonCommutingFamily, NonNormal) as exc:
+        except CanonicalMismatch as exc:
             # the canonical-form identities failed at this tolerance: no
             # certificate, but no evidence of entanglement either
             diag["rank_n_error"] = str(exc)
             return Verdict(INCONCLUSIVE, "BudgetExhausted", None, diag)
-        return Verdict(SEPARABLE, None, lift_decomposition(cert.terms, va, vb, s), diag)
+        return Verdict(SEPARABLE, None, cert, diag)
 
     rank_sum = r + diag["rank_ta"]
     if rank_sum <= 2 * m * n - m - n + 2:
@@ -471,11 +459,7 @@ def separability_check(
             return Verdict(INCONCLUSIVE, "NonGeneric", None, diag)
         diag["eligible_count"] = len(es.vectors)
         diag["eligible_exhaustive"] = es.exhaustive
-        verdict = _certify_eligible(sc, es, tol, diag)
-        cert = verdict.certificate
-        if cert is not None:
-            cert = lift_decomposition(cert.terms, va, vb, s)
-        return Verdict(verdict.status, verdict.reason, cert, verdict.diagnostics)
+        return _certify_eligible(s, sc, (va, vb), es, tol, diag)
 
     diag["method"] = "none"
     return Verdict(INCONCLUSIVE, "BudgetExhausted", None, diag)

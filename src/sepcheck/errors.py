@@ -5,14 +5,6 @@ class SepcheckError(Exception):
     """Base class for all library-specific failures."""
 
 
-class NonNormal(SepcheckError):
-    """A matrix expected to be normal fails [C, C^dag] = 0 within tolerance."""
-
-
-class NonCommutingFamily(SepcheckError):
-    """A family expected to commute has a commutator above tolerance."""
-
-
 class NoAlignment(SepcheckError):
     """No Bob vector f with |a_i, f> in the kernel for the probed Alice basis."""
 
@@ -22,7 +14,15 @@ class RankDropViolation(SepcheckError):
 
 
 class CanonicalMismatch(SepcheckError):
-    """The filtered state violates the canonical block identities."""
+    """The canonical form fails an identity: block products, normality or commutation."""
+
+
+class NonNormal(CanonicalMismatch):
+    """A matrix expected to be normal fails [C, C^dag] = 0 within tolerance."""
+
+
+class NonCommutingFamily(CanonicalMismatch):
+    """A family expected to commute has a commutator above tolerance."""
 
 
 class NotPPT(SepcheckError):

@@ -77,12 +77,6 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _assemble(terms, dim_a, dim_b, normalized=True) -> tuple[BipartiteState, Decomposition]:
     rho = reconstruction(terms, dim_a, dim_b)
     state = BipartiteState(dim_a, dim_b, rho, normalized=normalized)
@@ -100,7 +94,7 @@ def random_separable(spec: GeneratorSpec, tol: Tolerances = DEFAULT_TOL,
     """
     m, n = spec.dims
     k = spec.term_count if spec.term_count is not None else m * n
-    rng = _as_rng(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     for _ in range(max_retries):
         weights = rng.dirichlet(np.ones(k))
         terms = [
@@ -136,7 +130,7 @@ def random_separable_rank_deficient(
         raise ValueError("need terms >= rank >= 2")
     if m < 2:
         raise ValueError("the pencil construction needs dim_a >= 2")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     e_a = haar_vector(m, rng)
     e_b = haar_vector(m, rng)
     f_0 = haar_vector(n, rng)
@@ -162,7 +156,7 @@ def random_ppt(spec: GeneratorSpec) -> BipartiteState:
     """
     m, n = spec.dims
     mn = m * n
-    rng = _as_rng(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     g = rng.normal(size=(mn, mn)) + 1j * rng.normal(size=(mn, mn))
     w = g @ g.conj().T
     w /= np.trace(w).real

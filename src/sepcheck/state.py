@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numlin import DEFAULT_TOL, Tolerances, as_cmatrix, frob, range_basis
+from .errors import DecompositionFailed
+from .numlin import DEFAULT_TOL, Tolerances, _hermitize, as_cmatrix, frob, range_basis
 
 __all__ = [
     "BipartiteState",
@@ -63,10 +64,7 @@ class BipartiteState:
         mn = dim_a * dim_b
         if mat.shape != (mn, mn):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {dim_a}x{dim_b}")
-        scale = max(1.0, frob(mat))
-        if frob(mat - mat.conj().T) > tol.residual_abs * scale:
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        mat = 0.5 * (mat + mat.conj().T)
+        mat = _hermitize(mat, tol, "density matrix")
         tr = float(np.trace(mat).real)
         floor = tol.psd_floor(tr)
         wmin = float(np.linalg.eigvalsh(mat)[0]) if mn > 0 else 0.0
@@ -223,16 +221,21 @@ def support_compress(
     return out, (va, vb)
 
 
-def lift_decomposition(terms, va: np.ndarray, vb: np.ndarray,
-                       s: BipartiteState) -> Decomposition:
+def lift_decomposition(terms, va: np.ndarray, vb: np.ndarray, s: BipartiteState,
+                       tol: Tolerances = DEFAULT_TOL) -> Decomposition:
     """Carry terms on a compressed space back through its isometries (Va, Vb).
 
     The result is canonicalized and its residual is measured against ``s``,
-    the state that :func:`support_compress` compressed; checking it is the
-    caller's business.
+    the state that :func:`support_compress` compressed.  This is the one
+    acceptance check of a certificate: no terms, or a residual above
+    ``residual_abs * max(1, ||rho||_F)``, raise DecompositionFailed.
     """
     lifted = [(w, ProductVector(va @ pv.e, vb @ pv.f)) for w, pv in terms]
+    if not lifted:
+        raise DecompositionFailed("a certificate needs at least one term")
     residual = frob(s.rho - reconstruction(lifted, s.dim_a, s.dim_b))
+    if residual > tol.residual_abs * max(1.0, frob(s.rho)):
+        raise DecompositionFailed(f"reconstruction residual {residual:.3e} too large")
     return canonicalize(Decomposition(tuple(lifted), residual))
 
 

@@ -864,7 +864,7 @@ def enumerate_eligible(
     memberships, and deduplicated up to phase.  All random draws come from
     ``seed``, so reruns are identical.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     m, n = s.dim_a, s.dim_b
 
     if m == 1:

@@ -162,6 +162,24 @@ def near_product_rank_n_state(eps=1e-3, seed=0):
     return BipartiteState(2, 3, rho / np.trace(rho).real, normalized=True)
 
 
+def near_product_mixture(dims, k, seed):
+    """k equal-weight product terms whose Alice vectors crowd around one.
+
+    Each Alice vector is a Haar vector g plus 10^U(-6, -1) times a fresh
+    Haar vector, normalized; each Bob vector is Haar.  The local direction
+    off g then carries so little of the state that support compression
+    cuts it, although it still holds up to ~1e-5 of rho in Frobenius norm.
+    """
+    m, n = dims
+    rng = np.random.default_rng(seed)
+    g = haar_vector(m, rng)
+    terms = []
+    for _ in range(k):
+        e = g + 10 ** rng.uniform(-6, -1) * haar_vector(m, rng)
+        terms.append((1.0 / k, ProductVector(e / np.linalg.norm(e), haar_vector(n, rng))))
+    return BipartiteState(m, n, reconstruction(terms, m, n), normalized=True)
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import near_product_rank_n_state, orthogonal_product_mixture
+from conftest import (
+    near_product_mixture,
+    near_product_rank_n_state,
+    orthogonal_product_mixture,
+)
 from sepcheck.certify import (
     BsaResult,
     bsa_decompose,
@@ -23,7 +27,7 @@ from sepcheck.fixtures import (
     tiles_vectors,
     werner_family,
 )
-from sepcheck.numlin import DEFAULT_TOL, numerical_rank
+from sepcheck.numlin import DEFAULT_TOL, frob, numerical_rank
 from sepcheck.state import (
     BipartiteState,
     ProductVector,
@@ -379,6 +383,21 @@ class TestPipelineEdges:
         assert verdict.diagnostics["method"] == "rank_n_decomposition"
         assert verdict.status == "Separable"
         assert verdict.certificate.residual <= 1e-8
+
+    @pytest.mark.parametrize("k, seed, method", [(3, 0, "rank_n_decomposition"),
+                                                 (4, 2, "eligible_vectors")])
+    def test_near_product_certificate_reconstructs_the_input(self, k, seed, method):
+        # compression drops a direction that still carries ~1e-5 of rho, so
+        # a certificate of the compressed state can miss the input by that
+        # much; it is accepted only if it reconstructs the input itself
+        st = near_product_mixture((3, 3), k, seed)
+        verdict = separability_check(st, seed=0)
+        assert verdict.diagnostics["method"] == method
+        assert verdict.diagnostics["compressed_dims"] == [2, 3]
+        assert verdict.status != "Entangled"
+        if verdict.certificate is not None:
+            residual = frob(st.rho - reconstruction(verdict.certificate.terms, 3, 3))
+            assert residual <= DEFAULT_TOL.residual_abs * max(1.0, frob(st.rho))
 
     def test_direction_not_found_is_inconclusive(self, monkeypatch):
         import sepcheck.canon
