@@ -140,8 +140,8 @@ class BilinearHomotopy:
     def track(self) -> tuple[np.ndarray, np.ndarray]:
         """Track every start root from t = 1 to t = 0.
 
-        All paths advance together: an RK4 predictor along dx/dt, then at
-        most three Newton corrections.  A step is accepted when the
+        All paths advance together: an RK4 predictor along dx/dt, then
+        three Newton corrections.  A step is accepted when the
         correction settles below TRACK_TOL and its first correction stays
         below TRACK_JUMP; otherwise the path's step halves.  Three accepted
         steps in a row double it.  Returns the endpoints, refined by Newton

@@ -19,8 +19,9 @@ must drop below N.  Two solvers find the Alice parts alpha:
   Bezout paths are tracked numerically; endpoints with beta = conj(alpha)
   are kept.
 
-Either way the candidates are polished, filtered by both range memberships
-and deduplicated into the finite eligible set.
+Either way the candidates are refined by Gauss-Newton on the bilinear
+constraints, filtered by both range memberships and deduplicated into the
+finite eligible set.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ CANCEL_REL = 1e-9
 # checks are the authoritative filter.
 BRANCH_EPS = 3e-2
 MAX_BRANCHES = 4096
+# Step cap of the Gauss-Newton candidate polish; a candidate near an isolated
+# root converges quadratically, in a few steps.
+POLISH_STEPS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -770,43 +774,51 @@ class EligibleSet:
     degree_bound: int
 
 
-def _polish_alpha(kd: KernelData, alpha: np.ndarray, iters: int = 500) -> tuple[np.ndarray, np.ndarray]:
-    """Alternating least squares on (alpha, f) against the true constraints.
+def _polish_alpha(kd: KernelData, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A candidate alpha and its Bob part f, refined by Gauss-Newton.
 
-    Given alpha, the best f is the smallest right singular vector of A;
-    given f, all constraints are complex-linear in alpha (the transposed-
-    kernel rows after conjugation), so alpha solves a small least-squares
-    problem with its first entry pinned to one.  Convergence is linear but
-    each step costs one tiny SVD; iteration stops once the constraint
-    residual bottoms out.
+    The state-kernel rows alpha^T conj(K_i) f are bilinear in (alpha, f) and
+    the conjugated transposed-kernel rows alpha^T L_j conj(f) in
+    (alpha, conj f), so the residual is real-differentiable in the free
+    coordinates.  alpha_1 is pinned to one and f to the chart c.f = 1, with
+    c = conj(f_0) and f_0 the smallest right singular vector of A at the
+    start; each step is then one real least-squares solve, and an isolated
+    root is reached quadratically.  The best iterate is kept: iteration
+    stops when the relative residual stops falling, reaches 1e-15 of the
+    row scale, or after POLISH_STEPS steps.
     """
     alpha = np.asarray(alpha, dtype=complex).reshape(-1).copy()
-    best_res = np.inf
-    stalled = 0
-    for _ in range(iters):
-        a_mat = constraint_matrix(kd, alpha)
-        _, svals, vh = np.linalg.svd(a_mat)
-        f = vh[-1].conj()
-        res = float(svals[-1])
-        if res < best_res * (1.0 - 1e-4):
-            best_res = res
-            stalled = 0
-        else:
-            stalled += 1
-        if res <= 1e-14 * max(1.0, float(svals[0])) or stalled > 40:
-            break
-        rows = []
-        if kd.k:
-            rows.append(np.einsum("imn,n->im", kd.k_comps.conj(), f))
-        if kd.kt:
-            rows.append(np.einsum("imn,n->im", kd.kt_comps, f.conj()))
-        g = np.vstack(rows)
-        sol, *_ = np.linalg.lstsq(g[:, 1:], -g[:, 0], rcond=None)
-        alpha = np.concatenate([[1.0 + 0.0j], sol])
-    a_mat = constraint_matrix(kd, alpha)
-    _, _, vh = np.linalg.svd(a_mat)
+    m, n = kd.dim_a, kd.dim_b
+    _, svals, vh = np.linalg.svd(constraint_matrix(kd, alpha))
     f = vh[-1].conj()
-    return alpha, f
+    chart = f.conj()
+    floor = 1e-15 * float(svals[0]) / np.linalg.norm(alpha)
+    kc, lt = kd.k_comps.conj(), kd.kt_comps
+    k, kt = kd.k, kd.kt
+    jac = np.zeros((k + kt + 1, m - 1 + n), dtype=complex)   # d/d(alpha, f)
+    jac_bar = np.zeros_like(jac)                             # d/d conj(f)
+    jac[-1, m - 1:] = chart
+    best, best_res = (alpha, f), np.inf
+    for step in range(POLISH_STEPS + 1):
+        ka, la = alpha @ kc, alpha @ lt
+        r = np.concatenate([ka @ f, la @ f.conj(), [chart @ f - 1.0]])
+        res = np.linalg.norm(r[:-1]) / (np.linalg.norm(alpha) * np.linalg.norm(f))
+        if not res < best_res:
+            break
+        best, best_res = (alpha, f), res
+        if res <= floor or step == POLISH_STEPS:
+            break
+        jac[:k, :m - 1] = (kc @ f)[:, 1:]
+        jac[:k, m - 1:] = ka
+        jac[k:k + kt, :m - 1] = (lt @ f.conj())[:, 1:]
+        jac_bar[k:k + kt, m - 1:] = la
+        p, q = jac + jac_bar, jac - jac_bar
+        real = np.block([[p.real, -q.imag], [p.imag, q.real]])
+        sol, *_ = np.linalg.lstsq(real, -np.concatenate([r.real, r.imag]), rcond=None)
+        dz = sol[:m - 1 + n] + 1j * sol[m - 1 + n:]
+        alpha = np.concatenate([[1.0 + 0.0j], alpha[1:] + dz[:m - 1]])
+        f = f + dz[m - 1:]
+    return best
 
 
 def _accept_candidate(
@@ -859,9 +871,9 @@ def enumerate_eligible(
     larger M; when it is underdetermined its minors are eliminated jointly.
     Before tracking, A is checked at one random alpha: rank below N there
     means rank below N at every alpha, a continuum of product vectors, and
-    raises NonGeneric.  Candidates are polished by alternating least
-    squares, then filtered by the kernel residuals and both range
-    memberships, and deduplicated up to phase.  All random draws come from
+    raises NonGeneric.  Candidates are refined by Gauss-Newton (see
+    :func:`_polish_alpha`), then filtered by the kernel residuals and both
+    range memberships, and deduplicated up to phase.  All random draws come from
     ``seed``, so reruns are identical.
     """
     rng = np.random.default_rng(seed)

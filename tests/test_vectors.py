@@ -14,8 +14,11 @@ from sepcheck.fixtures import (
 from sepcheck.numlin import DEFAULT_TOL, numerical_rank
 from sepcheck.state import partial_transpose, support_compress
 from sepcheck.vectors import (
+    POLISH_STEPS,
     KernelData,
     MultiPoly,
+    _accept_candidate,
+    _polish_alpha,
     back_substitute,
     constraint_matrix,
     eliminate,
@@ -340,6 +343,59 @@ class TestTrackCoupled:
         candidates, complete, paths = track_coupled(kd, (3, 3), rng)
         assert paths == 9
         assert not complete
+
+
+def _count_linalg(monkeypatch, *names):
+    """Record every call to the named numpy.linalg functions."""
+    calls = []
+    for name in names:
+        original = getattr(np.linalg, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+class TestPolish:
+    def test_perturbed_planted_root_converges(self, monkeypatch):
+        st, dec = random_separable(GeneratorSpec(dims=(3, 4), term_count=7, seed=11))
+        kd = kernel_data(st)
+        rng = np.random.default_rng(11)
+        calls = _count_linalg(monkeypatch, "lstsq")
+        for _, pv in dec.terms:
+            alpha = pv.e / pv.e[0]
+            alpha[1:] += 1e-6 * (rng.normal(size=2) + 1j * rng.normal(size=2))
+            calls.clear()
+            alpha, f = _polish_alpha(kd, alpha)
+            assert len(calls) <= POLISH_STEPS
+            e, fn = alpha / np.linalg.norm(alpha), f / np.linalg.norm(f)
+            assert np.max(np.abs(constraint_matrix(kd, e) @ fn)) <= 1e-12
+
+    def test_random_start_is_rejected(self):
+        # the tiles state has no eligible vector, so no start can reach one
+        kd = kernel_data(tiles_upb_state())
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            alpha, f = _polish_alpha(kd, haar_vector(3, rng))
+            assert np.all(np.isfinite(alpha)) and np.all(np.isfinite(f))
+            assert _accept_candidate(kd, alpha, f, DEFAULT_TOL) is None
+
+    def test_cascade_polish_cost_2x4_k6(self, monkeypatch):
+        # an underdetermined coupled system, solved by the cascade, whose
+        # imprecise roots once cost thousands of decompositions to polish
+        st, dec = random_separable(GeneratorSpec(dims=(2, 4), term_count=6, seed=4006))
+        calls = _count_linalg(monkeypatch, "svd", "lstsq")
+        es = enumerate_eligible(st, seed=4006)
+        assert len(calls) <= 100
+        assert len(es.vectors) == 8 and es.exhaustive
+        found = [np.kron(pv.e, pv.f) for pv in es.vectors]
+        for _, pv in dec.terms:
+            planted = np.kron(pv.e / np.linalg.norm(pv.e), pv.f / np.linalg.norm(pv.f))
+            overlap = max(abs(np.vdot(planted, v)) for v in found)
+            assert np.sqrt(max(0.0, 2.0 - 2.0 * overlap)) <= 1e-6
 
 
 class TestDegenerateRows:
