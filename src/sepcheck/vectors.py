@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -774,7 +775,8 @@ class EligibleSet:
     degree_bound: int
 
 
-def _polish_alpha(kd: KernelData, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _polish_alpha(kd: KernelData, alpha: np.ndarray, svals: np.ndarray,
+                  vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A candidate alpha and its Bob part f, refined by Gauss-Newton.
 
     The state-kernel rows alpha^T conj(K_i) f are bilinear in (alpha, f) and
@@ -785,11 +787,11 @@ def _polish_alpha(kd: KernelData, alpha: np.ndarray) -> tuple[np.ndarray, np.nda
     start; each step is then one real least-squares solve, and an isolated
     root is reached quadratically.  The best iterate is kept: iteration
     stops when the relative residual stops falling, reaches 1e-15 of the
-    row scale, or after POLISH_STEPS steps.
+    row scale, or after POLISH_STEPS steps.  ``svals`` and ``vh`` are the
+    singular values and right singular vectors of A at the start.
     """
     alpha = np.asarray(alpha, dtype=complex).reshape(-1).copy()
     m, n = kd.dim_a, kd.dim_b
-    _, svals, vh = np.linalg.svd(constraint_matrix(kd, alpha))
     f = vh[-1].conj()
     chart = f.conj()
     floor = 1e-15 * float(svals[0]) / np.linalg.norm(alpha)
@@ -856,15 +858,66 @@ def _dedupe(vectors: list[ProductVector], tol: Tolerances) -> list[ProductVector
     return kept
 
 
+class _Candidates:
+    """Alice starts, each clustered, screened and polished once, in arrival order.
+
+    Near-identical starts are clustered and hopeless ones dropped before the
+    (comparatively expensive) polish: true roots make the constraint matrix
+    strongly rank deficient already at the unpolished start.  The screen's
+    SVD also gives the polish its first Bob part.
+    """
+
+    def __init__(self, kd: KernelData, tol: Tolerances):
+        self.kd, self.tol = kd, tol
+        self.starts: list[np.ndarray] = []
+        self.accepted: list[tuple[float, ProductVector]] = []
+
+    def add(self, raw: list[np.ndarray]) -> None:
+        for alpha in raw:
+            if any(np.linalg.norm(alpha - seen) < 1e-8 * max(1.0, np.linalg.norm(seen))
+                   for seen in self.starts):
+                continue
+            _, svals, vh = np.linalg.svd(constraint_matrix(self.kd, alpha))
+            if svals[0] > 0 and svals[-1] / svals[0] > 0.05:
+                continue
+            self.starts.append(alpha)
+            hit = _accept_candidate(self.kd, *_polish_alpha(self.kd, alpha, svals, vh),
+                                    self.tol)
+            if hit is not None:
+                pv, res = hit
+                self.accepted.append((res, pv))
+
+    def eligible(self, q: np.ndarray, exhaustive: bool, degree_bound: int) -> EligibleSet:
+        # keep the best-polished representative of each duplicate cluster,
+        # then undo the Alice rotation q
+        ranked = sorted(self.accepted, key=lambda t: t[0])
+        found = _dedupe([pv for _, pv in ranked], self.tol)
+        restored = tuple(ProductVector(q @ pv.e, pv.f) for pv in found)
+        return EligibleSet(restored, exhaustive=exhaustive, degree_bound=degree_bound)
+
+
+def _alphas(assignments: list[dict[int, complex]], m: int) -> list[np.ndarray]:
+    """Alice vectors (first coordinate one) of back-substituted assignments."""
+    raw = []
+    for asg in assignments:
+        alpha = np.ones(m, dtype=complex)
+        for slot in range(m - 1):
+            alpha[slot + 1] = asg.get(slot, np.conj(asg.get(m - 1 + slot, 0.0)))
+        raw.append(alpha)
+    return raw
+
+
 def enumerate_eligible(
-    s: BipartiteState, tol: Tolerances = DEFAULT_TOL, seed=0
+    s: BipartiteState, tol: Tolerances = DEFAULT_TOL, seed=0,
+    stop: Callable[[EligibleSet], bool] | None = None,
 ) -> EligibleSet:
     """The finite set of product vectors compatible with both ranges.
 
     A seeded random Alice rotation first makes every sought vector generic
-    in the computational basis (nonzero first coordinate).  Whichever kernel
-    is large enough to pin the Alice coordinates on its own provides a
-    holomorphic minor system, solved by elimination.  Otherwise the coupled
+    in the computational basis (nonzero first coordinate).  Each kernel
+    large enough to pin the Alice coordinates on its own provides a
+    holomorphic minor system, solved by elimination; with two such kernels
+    the set is the union of both systems' vectors.  Otherwise the coupled
     system links the coordinates with their conjugates: with
     k + k_T >= 2M + N - 3 it is square or overdetermined and is solved by
     homotopy continuation (see :func:`track_coupled`), for M = 2 as for
@@ -873,8 +926,14 @@ def enumerate_eligible(
     means rank below N at every alpha, a continuum of product vectors, and
     raises NonGeneric.  Candidates are refined by Gauss-Newton (see
     :func:`_polish_alpha`), then filtered by the kernel residuals and both
-    range memberships, and deduplicated up to phase.  All random draws come from
-    ``seed``, so reruns are identical.
+    range memberships, and deduplicated up to phase.  All random draws come
+    from ``seed``, so reruns are identical.
+
+    ``stop``, when given, sees the first block system's set whenever a
+    second block system is still to be solved; if it returns True that set
+    is returned as is, and the second system is never built.  The random
+    draws are taken in the same order either way, so a search that goes on
+    returns the same union as one without ``stop``.
     """
     rng = np.random.default_rng(seed)
     m, n = s.dim_a, s.dim_b
@@ -888,46 +947,44 @@ def enumerate_eligible(
     srot = local_filter(s, "A", q.conj().T)
     kd = kernel_data(srot, tol)
     nvars = 2 * (m - 1)
+    candidates = _Candidates(kd, tol)
 
     # Prefer equations in the alpha coordinates alone: whenever a kernel
     # block has at least N rows its vanishing minors are holomorphic in one
     # half of the variables (the transposed block after conjugate pairing),
-    # which keeps the elimination cascade shallow.  Each block is solved as
-    # its own system and the candidates are unioned: every block system is
-    # complete on its own, so a root lost to coefficient noise in one has a
-    # second chance in the other.  The coupled system is the fallback:
-    # path-tracked when it is square or overdetermined (its elimination
-    # loses roots to coefficient noise for M >= 3, and its Leibniz minors
-    # dominate the cost for M = 2), eliminated otherwise.  Systems are
-    # capped at two equations beyond the unknown count; dropped minors stay
-    # enforced through the physical filters.
+    # which keeps the elimination cascade shallow.  Every block system is
+    # complete on its own; the second one matters only when the first loses
+    # a root to coefficient noise, so it is solved after the first one's
+    # vectors have gone to ``stop``, and its candidates join the first's.
+    # The coupled system is the fallback: path-tracked when it is square or
+    # overdetermined (its elimination loses roots to coefficient noise for
+    # M >= 3, and its Leibniz minors dominate the cost for M = 2), eliminated
+    # otherwise.  Systems are capped at two equations beyond the unknown
+    # count; dropped minors stay enforced through the physical filters.
     cap = (m - 1) + 2
-    systems: list[list[MultiPoly]] = []
-    if kd.k >= n:
-        side = _minor_system(_symbolic_rows(kd, "k"), n, nvars, rng)
-        side.sort(key=lambda p: len(p.terms))
-        if len(side) >= m - 1:
-            systems.append(side[:cap])
-    if kd.kt >= n:
-        side = [p.conj_pair() for p in _minor_system(_symbolic_rows(kd, "kt"), n, nvars, rng)]
-        side.sort(key=lambda p: len(p.terms))
-        if len(side) >= m - 1:
-            systems.append(side[:cap])
-
-    assignments: list[dict[int, complex]] = []
     completes: list[bool] = []
     bounds: list[int] = []
-    for block_system in systems:
+    for which in [w for w, rows in (("k", kd.k), ("kt", kd.kt)) if rows >= n]:
+        if completes and stop is not None:
+            first = candidates.eligible(q, completes[0], bounds[0])
+            if stop(first):
+                return first
+        side = _minor_system(_symbolic_rows(kd, which), n, nvars, rng)
+        if which == "kt":
+            side = [p.conj_pair() for p in side]
+        if len(side) < m - 1:
+            continue
+        side.sort(key=lambda p: len(p.terms))
         try:
-            elim = eliminate(block_system, tol)
-            asg, comp = back_substitute(elim, tol)
+            elim = eliminate(side[:cap], tol)
+            assignments, comp = back_substitute(elim, tol)
         except NonGeneric:
             continue
-        assignments += asg
+        candidates.add(_alphas(assignments, m))
         completes.append(comp)
         bounds.append(elim.degree_bound)
+
     split = None if completes else _square_split(kd.k, kd.kt, m, n)
-    raw: list[np.ndarray] = []
     if completes:
         complete = any(completes)
         degree_bound = min(bounds)
@@ -940,45 +997,14 @@ def enumerate_eligible(
             raise NonGeneric("the constraint matrix is rank deficient at a generic alpha: "
                              "the product vectors form a continuum")
         raw, complete, degree_bound = track_coupled(kd, split, rng, tol)
+        candidates.add(raw)
     else:
         system = minor_polynomials(kd, rng)
         elim = eliminate(system, tol)
         assignments, complete = back_substitute(elim, tol)
         degree_bound = elim.degree_bound
-
-    for asg in assignments:
-        alpha = np.ones(m, dtype=complex)
-        for slot in range(m - 1):
-            alpha[slot + 1] = asg.get(slot, np.conj(asg.get(m - 1 + slot, 0.0)))
-        raw.append(alpha)
-
-    # Cluster near-identical starts and drop hopeless ones before the
-    # (comparatively expensive) polish: true roots make the constraint
-    # matrix strongly rank deficient already at the unpolished candidate.
-    candidates: list[np.ndarray] = []
-    for alpha in raw:
-        if any(np.linalg.norm(alpha - seen) < 1e-8 * max(1.0, np.linalg.norm(seen))
-               for seen in candidates):
-            continue
-        svals = np.linalg.svd(constraint_matrix(kd, alpha), compute_uv=False)
-        if svals[0] > 0 and svals[-1] / svals[0] > 0.05:
-            continue
-        candidates.append(alpha)
-
-    accepted: list[tuple[float, ProductVector]] = []
-    for alpha in candidates:
-        alpha, f = _polish_alpha(kd, alpha)
-        hit = _accept_candidate(kd, alpha, f, tol)
-        if hit is not None:
-            pv, res = hit
-            accepted.append((res, pv))
-
-    # keep the best-polished representative of each duplicate cluster
-    accepted.sort(key=lambda t: t[0])
-    found = _dedupe([pv for _, pv in accepted], tol)
-    # undo the Alice rotation
-    restored = [ProductVector(q @ pv.e, pv.f) for pv in found]
-    return EligibleSet(tuple(restored), exhaustive=complete, degree_bound=degree_bound)
+        candidates.add(_alphas(assignments, m))
+    return candidates.eligible(q, complete, degree_bound)
 
 
 def _enumerate_scalar_alice(s: BipartiteState, tol: Tolerances) -> EligibleSet:

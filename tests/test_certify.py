@@ -488,3 +488,63 @@ class TestPipelineEdges:
         assert isinstance(res, BsaResult)
         assert not res.converged
         assert res.iterations == 1
+
+
+def _count_eliminations(monkeypatch):
+    import sepcheck.vectors
+
+    calls = []
+    original = sepcheck.vectors.eliminate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sepcheck.vectors, "eliminate", counting)
+    return calls
+
+
+class TestSecondBlockSystem:
+    # Both kernels of these states pin alpha, so each gives a block system
+    # that is complete on its own; the second one is solved only when the
+    # first one's vectors do not certify the state.
+
+    def test_first_block_decides(self, monkeypatch):
+        calls = _count_eliminations(monkeypatch)
+        st, _ = random_separable(GeneratorSpec(dims=(3, 3), term_count=4, seed=7))
+        verdict = separability_check(st, seed=7)
+        assert verdict.status == "Separable"
+        assert len(calls) == 1
+
+    def test_second_block_recovers_lost_roots(self, monkeypatch):
+        # the first block system loses three of the six roots to noise
+        calls = _count_eliminations(monkeypatch)
+        st, _ = random_separable(GeneratorSpec(dims=(3, 4), term_count=6, seed=1932334634))
+        verdict = separability_check(st, seed=1932334634)
+        assert verdict.status == "Separable"
+        assert len(verdict.certificate.terms) == 6
+        assert len(calls) == 2
+        assert verdict.diagnostics["eligible_count"] == 6
+
+    def test_second_block_error_leaves_no_stale_diagnostics(self, monkeypatch):
+        # the first block's set was certified (and failed) before the second
+        # block's minors raised: the verdict reports the error alone
+        import sepcheck.vectors
+        from sepcheck.errors import DegenerateRowChoice
+
+        original = sepcheck.vectors._minor_system
+        built = []
+
+        def second_fails(*args, **kwargs):
+            built.append(args)
+            if len(built) == 2:
+                raise DegenerateRowChoice("second block rows are dependent")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sepcheck.vectors, "_minor_system", second_fails)
+        st, _ = random_separable(GeneratorSpec(dims=(3, 4), term_count=6, seed=1932334634))
+        verdict = separability_check(st, seed=1932334634)
+        assert (verdict.status, verdict.reason) == ("Inconclusive", "NonGeneric")
+        assert verdict.diagnostics["eligible_error"] == "second block rows are dependent"
+        stale = {"eligible_count", "eligible_exhaustive", "nnls_residual"}
+        assert not stale & verdict.diagnostics.keys()

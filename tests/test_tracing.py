@@ -24,4 +24,10 @@ def test_traced_tiny_run(workload):
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    json.loads(proc.stdout.strip().splitlines()[-1])
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    if workload == "eligible":
+        # the replay sees each search through the enumerate_eligible binding
+        # and scores planted recovery on the set that decided the verdict
+        metrics = report["metrics"]
+        assert metrics["vectors.enumerate_eligible.calls"]["value"] > 0
+        assert metrics["vectors.planted.total"]["value"] > 0

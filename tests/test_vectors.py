@@ -359,6 +359,12 @@ def _count_linalg(monkeypatch, *names):
     return calls
 
 
+def _polish(kd, alpha):
+    """_polish_alpha from a start whose constraint matrix it decomposes itself."""
+    _, svals, vh = np.linalg.svd(constraint_matrix(kd, alpha))
+    return _polish_alpha(kd, alpha, svals, vh)
+
+
 class TestPolish:
     def test_perturbed_planted_root_converges(self, monkeypatch):
         st, dec = random_separable(GeneratorSpec(dims=(3, 4), term_count=7, seed=11))
@@ -369,7 +375,7 @@ class TestPolish:
             alpha = pv.e / pv.e[0]
             alpha[1:] += 1e-6 * (rng.normal(size=2) + 1j * rng.normal(size=2))
             calls.clear()
-            alpha, f = _polish_alpha(kd, alpha)
+            alpha, f = _polish(kd, alpha)
             assert len(calls) <= POLISH_STEPS
             e, fn = alpha / np.linalg.norm(alpha), f / np.linalg.norm(f)
             assert np.max(np.abs(constraint_matrix(kd, e) @ fn)) <= 1e-12
@@ -379,7 +385,7 @@ class TestPolish:
         kd = kernel_data(tiles_upb_state())
         rng = np.random.default_rng(12)
         for _ in range(10):
-            alpha, f = _polish_alpha(kd, haar_vector(3, rng))
+            alpha, f = _polish(kd, haar_vector(3, rng))
             assert np.all(np.isfinite(alpha)) and np.all(np.isfinite(f))
             assert _accept_candidate(kd, alpha, f, DEFAULT_TOL) is None
 
@@ -396,6 +402,44 @@ class TestPolish:
             planted = np.kron(pv.e / np.linalg.norm(pv.e), pv.f / np.linalg.norm(pv.f))
             overlap = max(abs(np.vdot(planted, v)) for v in found)
             assert np.sqrt(max(0.0, 2.0 - 2.0 * overlap)) <= 1e-6
+
+    def test_each_candidate_start_is_decomposed_once(self, monkeypatch):
+        # the screen's SVD of A(alpha) also gives the polish its first Bob
+        # part, so no matrix of the search is decomposed twice
+        st, _ = random_separable(GeneratorSpec(dims=(2, 4), term_count=6, seed=4006))
+        original = np.linalg.svd
+        seen = []
+
+        def recording(a, *args, **kwargs):
+            seen.append(np.asarray(a).tobytes())
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        es = enumerate_eligible(st, seed=4006)
+        assert len(es.vectors) == 8
+        assert len(seen) == len(set(seen))
+
+
+class TestStop:
+    # 3x4 with 6 terms: both kernels pin alpha, and the first block system
+    # loses three roots to coefficient noise
+    ST, _ = random_separable(GeneratorSpec(dims=(3, 4), term_count=6, seed=1932334634))
+
+    def test_declined_stop_returns_the_union(self):
+        seen = []
+        union = enumerate_eligible(self.ST, seed=1932334634)
+        lazy = enumerate_eligible(self.ST, seed=1932334634,
+                                  stop=lambda es: seen.append(es) or False)
+        assert len(seen) == 1 and len(seen[0].vectors) == 3
+        assert (lazy.exhaustive, lazy.degree_bound) == (union.exhaustive, union.degree_bound)
+        assert len(lazy.vectors) == len(union.vectors) == 6
+        for u, v in zip(union.vectors, lazy.vectors):
+            assert np.array_equal(u.e, v.e) and np.array_equal(u.f, v.f)
+
+    def test_accepted_stop_returns_the_first_set(self):
+        seen = []
+        es = enumerate_eligible(self.ST, seed=1932334634, stop=lambda es: seen.append(es) or True)
+        assert seen == [es]
 
 
 class TestDegenerateRows:
