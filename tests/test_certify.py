@@ -399,6 +399,20 @@ class TestPipelineEdges:
             residual = frob(st.rho - reconstruction(verdict.certificate.terms, 3, 3))
             assert residual <= DEFAULT_TOL.residual_abs * max(1.0, frob(st.rho))
 
+    def test_near_product_sweep_on_the_tracked_family(self):
+        # 2x4 with five terms: the eligible search path-tracks the coupled
+        # system, so a lost path could turn a separable input Entangled
+        statuses = []
+        for seed in range(60):
+            st = near_product_mixture((2, 4), 5, seed)
+            verdict = separability_check(st, seed=0)
+            statuses.append(verdict.status)
+            if verdict.certificate is not None:
+                residual = frob(st.rho - reconstruction(verdict.certificate.terms, 2, 4))
+                assert residual <= DEFAULT_TOL.residual_abs * max(1.0, frob(st.rho))
+        assert "Entangled" not in statuses
+        assert statuses.count("Separable") >= 55
+
     def test_direction_not_found_is_inconclusive(self, monkeypatch):
         import sepcheck.canon
         from sepcheck.errors import DirectionNotFound
