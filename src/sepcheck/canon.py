@@ -163,10 +163,7 @@ def _terms_from_canonical(
 ) -> list[tuple[float, ProductVector]]:
     """Assemble the N product terms from the joint eigenbasis of the blocks."""
     w_inv = pseudo_inverse(cf.filter, tol)  # filter is PD on the full space
-    if cf.blocks:
-        u_b, table = joint_diagonalize(list(cf.blocks), tol)
-    else:
-        u_b, table = np.eye(n, dtype=complex), np.zeros((n, 0), dtype=complex)
+    u_b, table = joint_diagonalize(list(cf.blocks), tol)
     terms = []
     for i in range(n):
         e_rot = np.concatenate([table[i, :].conj(), [1.0]])

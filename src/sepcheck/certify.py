@@ -84,7 +84,9 @@ def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
 
     The Lawson-Hanson active-set method, returning ``(x, rnorm)`` as
     ``scipy.optimize.nnls`` does.  After 3 * columns outer iterations it
-    returns its current iterate, which is always nonnegative.
+    returns its current iterate, which is always nonnegative.  Its positive
+    weights sit on linearly independent columns: a column dependent on the
+    passive ones has zero gradient and never enters.
     """
     n = a.shape[1]
     tol = 10.0 * max(a.shape) * np.finfo(float).eps * max(1.0, float(np.abs(a).sum(axis=0).max()))
@@ -164,37 +166,6 @@ def _features(p: np.ndarray) -> np.ndarray:
     return np.concatenate([upper.real, upper.imag])
 
 
-def _independent_reduction(
-    feats: np.ndarray, weights: np.ndarray, tol: Tolerances
-) -> np.ndarray:
-    """Shrink a nonnegative combination onto linearly independent projectors.
-
-    Any real null combination of the active projectors is used to push at
-    least one weight to zero without changing the represented matrix, until
-    the active set is independent.
-    """
-    weights = weights.copy()
-    for _ in range(weights.size):
-        active = np.where(weights > tol.residual_abs)[0]
-        if active.size == 0:
-            break
-        sub = feats[:, active]
-        if np.linalg.matrix_rank(sub, tol=1e-10) == active.size:
-            break
-        _, _, vh = np.linalg.svd(sub)
-        null = vh[-1].real
-        if np.max(np.abs(null)) <= 0:
-            break
-        if np.max(null) <= 0:
-            null = -null
-        positive = null > 1e-12
-        steps = weights[active][positive] / null[positive]
-        lam = float(np.min(steps))
-        weights[active] = weights[active] - lam * null
-        weights[np.abs(weights) <= tol.residual_abs] = 0.0
-    return weights
-
-
 def certify_by_subsets(
     s: BipartiteState, es: EligibleSet, tol: Tolerances = DEFAULT_TOL
 ) -> Verdict:
@@ -202,12 +173,12 @@ def certify_by_subsets(
 
     An empty exhaustive set certifies entanglement outright.  Otherwise one
     nonnegative least-squares solve over all candidate projectors weighs
-    them; its residual is reported as ``nnls_residual``.  The weights are
-    reduced to linearly independent projectors, which keeps the certificate
-    within min(r^2, r_ta^2) terms, and the certificate must pass
-    :func:`lift_decomposition`'s residual check.  One that fails is
-    inconclusive, never entangled, since the set may miss a vector although
-    it claims to be exhaustive.
+    them; its residual is reported as ``nnls_residual``.  Lawson-Hanson keeps
+    the positive weights on linearly independent projectors (see
+    :func:`nnls`), which bounds the certificate by min(r^2, r_ta^2) terms,
+    and the certificate must pass :func:`lift_decomposition`'s residual
+    check.  One that fails is inconclusive, never entangled, since the set
+    may miss a vector although it claims to be exhaustive.
     """
     eye = (np.eye(s.dim_a, dtype=complex), np.eye(s.dim_b, dtype=complex))
     return _certify_eligible(s, s, eye, es, tol, _diagnostics(s, tol))
@@ -233,8 +204,7 @@ def _certify_eligible(
     feats = np.column_stack([_features(pv.projector()) for pv in projs])
     sol, rnorm = nnls(feats, _features(sc.rho))
     diag["nnls_residual"] = rnorm
-    weights = _independent_reduction(feats, sol, tol)
-    terms = [(float(w), pv) for w, pv in zip(weights, projs) if w > tol.residual_abs]
+    terms = [(float(w), pv) for w, pv in zip(sol, projs) if w > tol.residual_abs]
     try:
         cert = lift_decomposition(terms, *isometries, s, tol)
     except DecompositionFailed:

@@ -21,7 +21,6 @@ __all__ = [
     "numerical_rank",
     "kernel_basis",
     "range_basis",
-    "kernel_and_range",
     "pseudo_inverse",
     "inv_sqrt_on_range",
     "joint_diagonalize",
@@ -100,19 +99,14 @@ def kernel_basis(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
     The returned array has shape (cols, cols - numerical_rank(m)).
     """
-    return kernel_and_range(m, tol)[0]
+    _, s, vh = np.linalg.svd(as_cmatrix(m))
+    return vh[_rank(s, tol):].conj().T
 
 
 def range_basis(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the numerical column space, one vector per column."""
-    return kernel_and_range(m, tol)[1]
-
-
-def kernel_and_range(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """``(kernel_basis(m), range_basis(m))``, both sliced from one SVD."""
-    u, s, vh = np.linalg.svd(as_cmatrix(m))
-    r = _rank(s, tol)
-    return vh[r:].conj().T, u[:, :r]
+    u, s, _ = np.linalg.svd(as_cmatrix(m))
+    return u[:, :_rank(s, tol)]
 
 
 def pseudo_inverse(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -145,6 +139,10 @@ def inv_sqrt_on_range(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return (v * inv_sqrt) @ v.conj().T
 
 
+# Cap on the Jacobi sweeps of joint_diagonalize.
+MAX_SWEEPS = 100
+
+
 def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
@@ -163,11 +161,7 @@ def _check_family(mats: list[np.ndarray], tol: Tolerances) -> None:
                 raise NonCommutingFamily(f"[C_{i}, C_{j}^dag] exceeds tolerance")
 
 
-def joint_diagonalize(
-    family,
-    tol: Tolerances = DEFAULT_TOL,
-    max_sweeps: int = 100,
-) -> tuple[np.ndarray, np.ndarray]:
+def joint_diagonalize(family, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Common eigenbasis of a commuting family of normal matrices.
 
     Runs simultaneous Jacobi sweeps on the Hermitian and anti-Hermitian parts
@@ -196,7 +190,7 @@ def joint_diagonalize(
 
     u = np.eye(n, dtype=complex)
     rot_tol = 1e-14
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         changed = False
         for p in range(n - 1):
             for q in range(p + 1, n):

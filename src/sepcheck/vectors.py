@@ -20,8 +20,8 @@ must drop below N.  Two solvers find the Alice parts alpha:
   are kept.
 
 Either way the candidates are refined by Gauss-Newton on the bilinear
-constraints, filtered by both range memberships and deduplicated into the
-finite eligible set.
+constraints, accepted when both row blocks of A(e) f, the two range
+distances, are small, and deduplicated into the finite eligible set.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateRowChoice, NonGeneric, RankSumTooHigh
-from .numlin import DEFAULT_TOL, Tolerances, kernel_and_range, range_basis
+from .numlin import DEFAULT_TOL, Tolerances, kernel_basis, range_basis
 from .state import BipartiteState, ProductVector, local_filter, partial_transpose
 
 __all__ = [
@@ -77,8 +77,9 @@ class KernelData:
 
     ``k_comps[i, m]`` is the Bob vector multiplying |m>_A in the i-th kernel
     vector of the state, ``kt_comps`` likewise for the partial transpose.
-    :func:`kernel_data` also keeps the two range bases, which the candidate
-    filter needs.
+    The distance of a unit vector from either range is the norm of its
+    coordinates along the matching kernel basis (see
+    :func:`_accept_candidate`).
     """
 
     dim_a: int
@@ -87,8 +88,6 @@ class KernelData:
     k_rho_ta: np.ndarray     # (MN, kt)
     k_comps: np.ndarray      # (k, M, N)
     kt_comps: np.ndarray     # (kt, M, N)
-    r_rho: np.ndarray | None = None      # (MN, MN - k)
-    r_rho_ta: np.ndarray | None = None   # (MN, MN - kt)
 
     @property
     def k(self) -> int:
@@ -106,14 +105,14 @@ def kernel_data(s: BipartiteState, tol: Tolerances = DEFAULT_TOL) -> KernelData:
     eligible-vector search applies; smaller kernels raise RankSumTooHigh.
     """
     m, n = s.dim_a, s.dim_b
-    kr, rr = kernel_and_range(s.rho, tol)
-    kt, rt = kernel_and_range(partial_transpose(s), tol)
+    kr = kernel_basis(s.rho, tol)
+    kt = kernel_basis(partial_transpose(s), tol)
     if kr.shape[1] + kt.shape[1] < m + n - 2:
         raise RankSumTooHigh(
             f"kernel dims {kr.shape[1]} + {kt.shape[1]} below {m + n - 2}")
     k_comps = kr.T.reshape(kr.shape[1], m, n)
     kt_comps = kt.T.reshape(kt.shape[1], m, n)
-    return KernelData(m, n, kr, kt, k_comps, kt_comps, rr, rt)
+    return KernelData(m, n, kr, kt, k_comps, kt_comps)
 
 
 def constraint_matrix(kd: KernelData, alpha) -> np.ndarray:
@@ -722,7 +721,8 @@ def track_coupled(kd: KernelData, split: tuple[int, int], rng: np.random.Generat
 
     Each kernel block is squared to its ``split`` row count by random
     combinations, the square system is path-tracked, and the endpoints are
-    kept when they satisfy every unsquared row with beta = conj(alpha).
+    kept when beta = conj(alpha); every row, the unsquared ones included, is
+    tested after the polish (see :func:`_accept_candidate`).
     Returns the candidates (first coordinate one), the completeness flag
     (every path reached a finite nonsingular endpoint of its own) and the
     path count.
@@ -744,9 +744,6 @@ def track_coupled(kd: KernelData, split: tuple[int, int], rng: np.random.Generat
             continue
         alpha, beta = a / a[0], b / b[0]
         if np.linalg.norm(beta - alpha.conj()) > tol.root_abs * np.linalg.norm(alpha):
-            continue
-        rows = constraint_matrix(kd, alpha)
-        if np.max(np.abs(rows @ f)) > tol.root_abs * np.linalg.norm(rows) * np.linalg.norm(f):
             continue
         candidates.append(alpha)
     return candidates, bool(np.all(regular)), len(x)
@@ -826,22 +823,17 @@ def _polish_alpha(kd: KernelData, alpha: np.ndarray, svals: np.ndarray,
 def _accept_candidate(
     kd: KernelData, alpha: np.ndarray, f: np.ndarray, tol: Tolerances
 ) -> tuple[ProductVector, float] | None:
+    """The unit product vector e x f and its ranking key max|A(e) f|, or None.
+
+    The row blocks of A(e) f have the norms dist(e x f, R(rho)) and
+    dist(conj(e) x f, R(rho^T_A)); both must be within ``root_abs``.
+    """
     e = alpha / np.linalg.norm(alpha)
     fn = f / np.linalg.norm(f)
-    kernel_res = 0.0
-    a_mat = constraint_matrix(kd, e)
-    if a_mat.shape[0]:
-        kernel_res = float(np.max(np.abs(a_mat @ fn)))
-        if kernel_res > tol.root_abs:
-            return None
-    pr, pt = kd.r_rho, kd.r_rho_ta
-    v = np.kron(e, fn)
-    if np.linalg.norm(v - pr @ (pr.conj().T @ v)) > tol.root_abs:
+    res = constraint_matrix(kd, e) @ fn
+    if max(np.linalg.norm(res[:kd.k]), np.linalg.norm(res[kd.k:])) > tol.root_abs:
         return None
-    vt = np.kron(e.conj(), fn)
-    if np.linalg.norm(vt - pt @ (pt.conj().T @ vt)) > tol.root_abs:
-        return None
-    return ProductVector(e, fn), kernel_res
+    return ProductVector(e, fn), float(np.max(np.abs(res), initial=0.0))
 
 
 def _dedupe(vectors: list[ProductVector], tol: Tolerances) -> list[ProductVector]:
@@ -925,9 +917,9 @@ def enumerate_eligible(
     Before tracking, A is checked at one random alpha: rank below N there
     means rank below N at every alpha, a continuum of product vectors, and
     raises NonGeneric.  Candidates are refined by Gauss-Newton (see
-    :func:`_polish_alpha`), then filtered by the kernel residuals and both
-    range memberships, and deduplicated up to phase.  All random draws come
-    from ``seed``, so reruns are identical.
+    :func:`_polish_alpha`), accepted on their two range distances (see
+    :func:`_accept_candidate`) and deduplicated up to phase.  All random
+    draws come from ``seed``, so reruns are identical.
 
     ``stop``, when given, sees the first block system's set whenever a
     second block system is still to be solved; if it returns True that set

@@ -119,6 +119,14 @@ class TestCertifyBySubsets:
         assert verdict.status == "Entangled"
         assert verdict.reason == "NoEligibleVectors"
 
+    def test_empty_non_exhaustive_set_is_inconclusive(self):
+        st = tiles_upb_state()
+        es = EligibleSet((), exhaustive=False, degree_bound=0)
+        verdict = certify_by_subsets(st, es)
+        assert verdict.status == "Inconclusive"
+        assert verdict.reason == "NonGeneric"
+        assert verdict.certificate is None
+
     def test_missing_vector_is_inconclusive_not_entangled(self):
         # a set that claims to be exhaustive but lacks a planted vector: the
         # state is outside the cone of the given projectors, and the verdict
@@ -159,6 +167,31 @@ class TestNnls:
             assert np.all(x >= 0.0), trial
             assert rnorm == pytest.approx(np.linalg.norm(a @ x - b), abs=1e-12)
             assert rnorm <= ref + 1e-12 * max(1.0, np.linalg.norm(b)), trial
+
+    def test_positive_weights_sit_on_independent_columns(self):
+        # Lawson-Hanson admits a column only at positive gradient, and the
+        # residual is orthogonal to the passive columns, so a column that
+        # depends on them never enters: plant a duplicated column and one
+        # equal to the sum of two others, with targets inside the cone that
+        # use them and targets outside it
+        import scipy.optimize
+
+        rng = np.random.default_rng(1974)
+        for trial in range(200):
+            m, n = int(rng.integers(4, 25)), int(rng.integers(3, 12))
+            base = rng.normal(size=(m, n))
+            i, j, k = rng.choice(n, size=3, replace=False)
+            a = np.column_stack([base, base[:, i], base[:, j] + base[:, k]])
+            a = a[:, rng.permutation(n + 2)]
+            if trial % 2:
+                b = a @ (rng.random(n + 2) * (rng.random(n + 2) < 0.7))
+            else:
+                b = rng.normal(size=m)
+            x, rnorm = nnls(a, b)
+            _, ref = scipy.optimize.nnls(a, b)
+            positive = x > 0.0
+            assert np.linalg.matrix_rank(a[:, positive], tol=1e-10) == positive.sum(), trial
+            assert rnorm == pytest.approx(ref, abs=1e-9 * max(1.0, np.linalg.norm(b))), trial
 
 
 

@@ -184,6 +184,29 @@ class TestOtherCommands:
         monkeypatch.setattr(sepcheck.canon, "find_full_rank_direction", fail)
         assert main(["decompose", str(separable_doc), "--seed", "2"]) == 2
 
+    def test_decompose_exit_codes_off_the_rank_n_path(self, tmp_path, capsys):
+        # the Bell state (Werner p = 1) is NPT; the maximally mixed 2x2 state
+        # has rank 4, above its Bob dimension, so no rank-N decomposition
+        bell, mixed = tmp_path / "bell.json", tmp_path / "mixed.json"
+        for path, p in ((bell, "1.0"), (mixed, "0.0")):
+            assert main(["generate", str(path), "--family", "werner",
+                         "--dims", "2", "2", "--p", p]) == 0
+        capsys.readouterr()
+        assert main(["decompose", str(bell)]) == 1
+        assert capsys.readouterr().err.startswith("entangled:")
+        assert main(["decompose", str(mixed)]) == 2
+        assert capsys.readouterr().err.startswith("failed: rank 4 exceeds")
+
+    def test_eligible_vectors_outside_the_window_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "mixed.json"
+        assert main(["generate", str(path), "--family", "werner",
+                     "--dims", "2", "2", "--p", "0.0"]) == 0
+        capsys.readouterr()
+        assert main(["eligible-vectors", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("inconclusive: kernel dims 0 + 0")
+
     def test_eligible_vectors_on_tiles(self, tiles_doc, capsys):
         code = main(["eligible-vectors", str(tiles_doc), "--seed", "4"])
         out = json.loads(capsys.readouterr().out)

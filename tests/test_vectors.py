@@ -11,8 +11,8 @@ from sepcheck.fixtures import (
     random_separable_rank_deficient,
     tiles_upb_state,
 )
-from sepcheck.numlin import DEFAULT_TOL, numerical_rank
-from sepcheck.state import partial_transpose, support_compress
+from sepcheck.numlin import DEFAULT_TOL, numerical_rank, range_basis
+from sepcheck.state import BipartiteState, partial_transpose, support_compress
 from sepcheck.vectors import (
     POLISH_STEPS,
     KernelData,
@@ -418,6 +418,78 @@ class TestPolish:
         es = enumerate_eligible(st, seed=4006)
         assert len(es.vectors) == 8
         assert len(seen) == len(set(seen))
+
+
+def _range_distances(st, e, f):
+    """Distances of e x f from R(rho) and of conj(e) x f from R(rho^T_A),
+    by explicit projection onto the two range bases."""
+    out = []
+    for op, v in ((st.rho, np.kron(e, f)), (partial_transpose(st), np.kron(e.conj(), f))):
+        pr = range_basis(op)
+        out.append(float(np.linalg.norm(v - pr @ (pr.conj().T @ v))))
+    return out
+
+
+def _null_bob(rows):
+    """A unit Bob vector annihilated by the given rows (fewer rows than N)."""
+    return np.linalg.svd(rows)[2][-1].conj()
+
+
+class TestAcceptCandidate:
+    STATES = [GeneratorSpec(dims=(3, 3), term_count=4, seed=41),
+              GeneratorSpec(dims=(2, 4), term_count=5, seed=42)]
+
+    @pytest.mark.parametrize("spec", STATES, ids=["3x3_k4", "2x4_k5"])
+    def test_block_norms_are_the_range_distances(self, spec):
+        st, dec = random_separable(spec)
+        kd = kernel_data(st)
+        rng = np.random.default_rng(spec.seed)
+        for _ in range(20):
+            e, f = haar_vector(spec.dims[0], rng), haar_vector(spec.dims[1], rng)
+            res = constraint_matrix(kd, e) @ f
+            blocks = [np.linalg.norm(res[:kd.k]), np.linalg.norm(res[kd.k:])]
+            assert blocks == pytest.approx(_range_distances(st, e, f), abs=1e-12)
+        for _, pv in dec.terms:
+            hit = _accept_candidate(kd, pv.e, pv.f, DEFAULT_TOL)
+            assert hit is not None and hit[1] <= 1e-12
+
+    def test_one_range_alone_is_rejected(self):
+        # on 2x4 with 5 terms each kernel block has 3 rows on 4 Bob
+        # coordinates, so any Alice vector pairs with a Bob vector that
+        # satisfies one block exactly; the other block then fails
+        st, _ = random_separable(GeneratorSpec(dims=(2, 4), term_count=5, seed=42))
+        kd = kernel_data(st)
+        assert (kd.k, kd.kt) == (3, 3)
+        rng = np.random.default_rng(43)
+        for _ in range(10):
+            e = haar_vector(2, rng)
+            a = constraint_matrix(kd, e)
+            # e x f in R(rho), its partner outside R(rho^T_A)
+            f = _null_bob(a[:kd.k])
+            dist, dist_ta = _range_distances(st, e, f)
+            assert dist <= 1e-12 and dist_ta > DEFAULT_TOL.root_abs
+            assert _accept_candidate(kd, e, f, DEFAULT_TOL) is None
+            # the converse
+            f = _null_bob(a[kd.k:])
+            dist, dist_ta = _range_distances(st, e, f)
+            assert dist_ta <= 1e-12 and dist > DEFAULT_TOL.root_abs
+            assert _accept_candidate(kd, e, f, DEFAULT_TOL) is None
+
+
+class TestScalarAlice:
+    def test_rank_one_state_is_its_own_eligible_vector(self):
+        f = haar_vector(3, np.random.default_rng(44))
+        st = BipartiteState(1, 3, np.outer(f, f.conj()))
+        es = enumerate_eligible(st, seed=44)
+        assert (len(es.vectors), es.exhaustive, es.degree_bound) == (1, True, 1)
+        assert abs(np.vdot(es.vectors[0].f, f)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_rank_two_state_is_a_continuum(self):
+        rng = np.random.default_rng(45)
+        f, g = haar_vector(3, rng), haar_vector(3, rng)
+        st = BipartiteState(1, 3, np.outer(f, f.conj()) + np.outer(g, g.conj()))
+        with pytest.raises(NonGeneric, match="continuum"):
+            enumerate_eligible(st, seed=45)
 
 
 class TestStop:
