@@ -420,8 +420,8 @@ def separability_check(
         except DecompositionFailed:
             return Verdict(INCONCLUSIVE, "BudgetExhausted", None, diag)
         except CanonicalMismatch as exc:
-            # the canonical-form identities failed at this tolerance: no
-            # certificate, but no evidence of entanglement either
+            # the canonical blocks are not jointly diagonalizable at this
+            # tolerance: no certificate, but no evidence of entanglement either
             diag["rank_n_error"] = str(exc)
             return Verdict(INCONCLUSIVE, "BudgetExhausted", None, diag)
         return Verdict(SEPARABLE, None, cert, diag)

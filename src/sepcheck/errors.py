@@ -14,15 +14,7 @@ class RankDropViolation(SepcheckError):
 
 
 class CanonicalMismatch(SepcheckError):
-    """The canonical form fails an identity: block products, normality or commutation."""
-
-
-class NonNormal(CanonicalMismatch):
-    """A matrix expected to be normal fails [C, C^dag] = 0 within tolerance."""
-
-
-class NonCommutingFamily(CanonicalMismatch):
-    """A family expected to commute has a commutator above tolerance."""
+    """Joint diagonalization left off-diagonal mass: the family is not normal and commuting."""
 
 
 class NotPPT(SepcheckError):

@@ -19,6 +19,7 @@ from sepcheck.certify import (
 from sepcheck.errors import PreconditionFailed
 from sepcheck.fixtures import (
     GeneratorSpec,
+    haar_unitary,
     haar_vector,
     maximally_mixed,
     random_separable,
@@ -92,25 +93,31 @@ class TestCertifyBySubsets:
         weights = sorted(w for w, _ in verdict.certificate.terms)
         assert np.allclose(weights, [0.3, 0.7], atol=1e-9)
 
-    def test_dependent_triple_reduced_to_independent(self, rng):
-        # three projectors with a linear dependence spanning the state: the
-        # certificate must come out linearly independent
-        e0 = haar_vector(2, rng)
-        f0, f1 = haar_vector(2, rng), haar_vector(2, rng)
-        mix = (f0 + f1) / np.linalg.norm(f0 + f1)
-        p1 = ProductVector(e0, f0)
-        p2 = ProductVector(e0, f1)
-        p3 = ProductVector(e0, mix)
-        rho = (p1.projector() + p2.projector() + p3.projector()) / 3.0
+    @pytest.mark.parametrize("seed", range(5))
+    def test_dependent_projectors_give_independent_certificate(self, seed):
+        # one Alice vector with the Bob vectors of two orthonormal bases of
+        # C^2: both Bob pairs sum to the identity, so the four projectors
+        # have feature rank 3, and the certificate must drop the dependence
+        def feature_rank(pvs):
+            feats = np.column_stack([
+                np.concatenate([pv.projector().ravel().real, pv.projector().ravel().imag])
+                for pv in pvs
+            ])
+            return np.linalg.matrix_rank(feats, tol=1e-8)
+
+        rng = np.random.default_rng(seed)
+        e = haar_vector(2, rng)
+        bases = (haar_unitary(2, rng), haar_unitary(2, rng))
+        pvs = tuple(ProductVector(e, b[:, j]) for b in bases for j in range(2))
+        assert feature_rank(pvs) == 3
+        rho = sum(pv.projector() for pv in pvs) / 4.0
         st = BipartiteState(2, 2, rho)
-        es = EligibleSet((p1, p2, p3), exhaustive=True, degree_bound=3)
+        es = EligibleSet(pvs, exhaustive=True, degree_bound=4)
         verdict = certify_by_subsets(st, es)
         assert verdict.status == "Separable"
-        feats = np.column_stack([
-            np.concatenate([pv.projector().ravel().real, pv.projector().ravel().imag])
-            for _, pv in verdict.certificate.terms
-        ])
-        assert np.linalg.matrix_rank(feats, tol=1e-8) == len(verdict.certificate.terms)
+        terms = [pv for _, pv in verdict.certificate.terms]
+        assert len(terms) == 2
+        assert feature_rank(terms) == 2
 
     def test_empty_exhaustive_set_is_entangled(self):
         st = tiles_upb_state()
@@ -396,26 +403,47 @@ class TestPipeline:
 class TestPipelineEdges:
     def test_canonical_mismatch_is_inconclusive(self):
         # a loosened PSD floor lets a near-product NPT state through to the
-        # rank-N stage, whose canonical-form identities then fail
+        # rank-N stage, whose canonical blocks are then not normal, so the
+        # joint diagonalization cannot clear their off-diagonal mass
         from sepcheck.numlin import Tolerances
 
         verdict = separability_check(near_product_rank_n_state(), Tolerances(psd_abs=1e-2))
         assert (verdict.status, verdict.reason) == ("Inconclusive", "BudgetExhausted")
         assert verdict.diagnostics["method"] == "rank_n_decomposition"
-        assert "not normal" in verdict.diagnostics["rank_n_error"]
+        assert "joint diagonalization" in verdict.diagnostics["rank_n_error"]
 
-    def test_skewed_weights_rank_n_separable(self):
-        # four 3x4 product terms with weights spread over seven decades: the
-        # first Haar direction decomposes it
-        rng = np.random.default_rng(2540)
-        weights = 10.0 ** rng.uniform(-7, 0, size=4)
-        terms = [(float(w), ProductVector(haar_vector(3, rng), haar_vector(4, rng)))
+    @staticmethod
+    def _skewed_rank_n_state(m, n, seed):
+        # max(m, n) Haar product terms with weights spread over seven decades
+        rng = np.random.default_rng(seed)
+        weights = 10.0 ** rng.uniform(-7, 0, size=max(m, n))
+        terms = [(float(w), ProductVector(haar_vector(m, rng), haar_vector(n, rng)))
                  for w in weights]
-        st = BipartiteState(3, 4, reconstruction(terms, 3, 4))
+        return BipartiteState(m, n, reconstruction(terms, m, n))
+
+    @pytest.mark.parametrize("m, n, seed", [(3, 4, 2540), (4, 4, 10), (4, 4, 1048),
+                                            (4, 4, 2255)])
+    def test_skewed_weights_rank_n_separable(self, m, n, seed):
+        # the 4x4 canonical blocks miss the normality and commutator
+        # identities at 1x residual_abs in the filtered frame, yet their
+        # terms reconstruct the input to 1e-12
+        st = self._skewed_rank_n_state(m, n, seed)
         verdict = separability_check(st, seed=0)
         assert verdict.diagnostics["method"] == "rank_n_decomposition"
         assert verdict.status == "Separable"
         assert verdict.certificate.residual <= 1e-8
+
+    @pytest.mark.parametrize("seed", [1178, 1680])
+    def test_skewed_weights_rank_n_undecided_stays_sound(self, seed):
+        # 3x3 states the Jacobi joint diagonalization leaves undecided
+        # (ROADMAP item 2b): never Entangled, never certified above tolerance
+        st = self._skewed_rank_n_state(3, 3, seed)
+        verdict = separability_check(st, seed=0)
+        assert verdict.diagnostics["method"] == "rank_n_decomposition"
+        assert verdict.status != "Entangled"
+        if verdict.certificate is not None:
+            residual = frob(st.rho - reconstruction(verdict.certificate.terms, 3, 3))
+            assert residual <= DEFAULT_TOL.residual_abs * max(1.0, frob(st.rho))
 
     @pytest.mark.parametrize("k, seed, method", [(3, 0, "rank_n_decomposition"),
                                                  (4, 2, "eligible_vectors")])

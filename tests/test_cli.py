@@ -127,6 +127,16 @@ class TestCertify:
         assert out["reason"] == "BudgetExhausted"
         assert "rank_n_error" in out["diagnostics"]
 
+    def test_decompose_canonical_mismatch_exits_two(self, tmp_path, capsys):
+        # the same breakdown through decompose: inconclusive, not an error
+        path = tmp_path / "near.json"
+        write_json(state_to_json(near_product_rank_n_state()), path)
+        code = main(["decompose", str(path), "--tol-psd", "1e-3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("failed: joint diagonalization")
+
     def test_byte_identical_reruns(self, tmp_path):
         # end-to-end determinism through the real process entry point
         state = tmp_path / "s.json"

@@ -1,9 +1,12 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import sepcheck
+from sepcheck import errors
 
 MODULES = ["sepcheck"] + [f"sepcheck.{m.name}" for m in pkgutil.iter_modules(sepcheck.__path__)]
 
@@ -17,3 +20,31 @@ def test_every_exported_name_resolves(name):
     namespace: dict = {}
     exec(f"from {name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+def _raised_names() -> set[str]:
+    # names of the exception classes some module raises, directly or called
+    names = set()
+    for path in Path(sepcheck.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    names.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    names.add(exc.attr)
+    return names
+
+
+def test_every_error_class_is_raised():
+    # an error class no module raises, and no raised class derives from, is
+    # dead code left behind by a deletion
+    classes = {
+        name: cls for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, Exception)
+        and cls.__module__ == errors.__name__
+    }
+    raised = [cls for name, cls in classes.items() if name in _raised_names()]
+    dead = [name for name, cls in classes.items()
+            if not any(issubclass(r, cls) for r in raised)]
+    assert dead == []

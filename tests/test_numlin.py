@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sepcheck.errors import NonCommutingFamily, NonNormal
+from sepcheck.errors import CanonicalMismatch
 from sepcheck.fixtures import haar_unitary, haar_vector
 from sepcheck.numlin import (
     DEFAULT_TOL,
@@ -180,10 +180,10 @@ class TestJointDiagonalize:
     def test_rejects_non_commuting(self, rng):
         a = np.diag([1.0, 2.0]).astype(complex)
         b = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        with pytest.raises(NonCommutingFamily):
+        with pytest.raises(CanonicalMismatch):
             joint_diagonalize([a, b])
 
     def test_rejects_non_normal(self):
         nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(NonNormal):
+        with pytest.raises(CanonicalMismatch):
             joint_diagonalize([nilpotent, np.eye(2, dtype=complex)])
