@@ -7,11 +7,12 @@ independent.  For an Alice direction a the local block
 a is orthogonal to some e_i, a proper algebraic set that a Haar draw misses
 with probability one.  With such an a in the last Alice slot and Bob
 filtered, the state takes the form Z^dag Z with Z = [C_1, ..., C_{M-1}, I],
-where the C_k are a commuting family of normal matrices; their joint
-eigenvectors yield the N terms.  That is the only route: there is no
-subtraction fallback, and an input on which every draw fails is not
-decomposed.  ``joint_diagonalize`` tests the family only through its result,
-and ``lift_decomposition`` checks the terms against the input.
+where the C_k, read from one Alice block row, are a commuting family of
+normal matrices; their joint eigenvectors yield the N terms.  That is the
+only route: there is no subtraction fallback, and an input on which every
+draw fails is not decomposed.  ``joint_diagonalize`` tests the family only
+through its result, ``lift_decomposition`` checks the terms against the
+input, and every breakdown is a DecompositionFailed.
 """
 
 from __future__ import annotations
@@ -67,10 +68,10 @@ DIRECTION_DRAWS = 64
 class CanonicalForm:
     """Filtered block form of a rank-N PPT state.
 
-    ``alice_basis`` is the unitary whose last column is the direction with a
-    full-rank local block; ``filter`` is the Bob-side inverse square root
-    applied symmetrically; ``blocks`` are the C_1 .. C_{M-1} read off the
-    last Alice block row of the filtered state.
+    ``alice_basis`` is the unitary whose last column is the direction a with
+    a full-rank local block; ``filter`` is W, the inverse square root of
+    <a| rho |a>; ``blocks`` are the C_k = W <a| rho |u_k> W, k < M, the last
+    Alice block row of the filtered state in that basis.
     """
 
     filter: np.ndarray
@@ -125,29 +126,26 @@ def _complete_basis(a: np.ndarray) -> np.ndarray:
 def to_canonical_form(
     s: BipartiteState, a: np.ndarray, tol: Tolerances = DEFAULT_TOL
 ) -> CanonicalForm:
-    """Rotate a to the last Alice slot, filter Bob, and read off the blocks.
+    """Read the blocks C_k = W <a| rho |u_k> W, k < M, from one Alice block row.
 
-    On a PPT rank-N input, block (i, j) of the filtered state equals
-    C_i^dag C_j with C_{M-1} = I, and the C_k are normal and commute.
-    Nothing is checked here: ``joint_diagonalize`` raises CanonicalMismatch
-    on blocks it cannot diagonalize, and ``lift_decomposition`` measures the
-    reconstruction, which those identities are, against the input.
+    u_1 .. u_M is an orthonormal Alice basis ending in a, and W is the
+    inverse square root of <a| rho |a>.  On a PPT rank-N input the filtered
+    state is Z^dag Z with Z = [C_1, ..., C_{M-1}, I], and the C_k are normal
+    and commute.  Only the rank of <a| rho |a> is checked here:
+    ``joint_diagonalize`` raises CanonicalMismatch on blocks it cannot
+    diagonalize, and ``lift_decomposition`` measures the reconstruction.
     """
     m, n = s.dim_a, s.dim_b
     u = _complete_basis(np.asarray(a, dtype=complex).reshape(-1))
     if u.shape[0] != m:
         raise ValueError("direction dimension does not match Alice's space")
 
-    rho1 = np.kron(u.conj().T, np.eye(n)) @ s.rho @ np.kron(u, np.eye(n))
-    e_last = rho1[(m - 1) * n:, (m - 1) * n:]
-    if _block_rank(s, e_last, tol) != n:
+    r = s.rho.reshape(m, n, m, n)
+    row = np.einsum("m,minj,nk->kij", u[:, -1].conj(), r, u)
+    if _block_rank(s, row[-1], tol) != n:
         raise ValueError("the chosen direction has a rank-deficient local block")
-    w = inv_sqrt_on_range(e_last, tol)
-    wk = np.kron(np.eye(m), w)
-    rho2 = wk @ rho1 @ wk
-
-    blocks = [rho2[(m - 1) * n:, j * n:(j + 1) * n].copy() for j in range(m - 1)]
-    return CanonicalForm(w, u, tuple(blocks))
+    w = inv_sqrt_on_range(row[-1], tol)
+    return CanonicalForm(w, u, tuple(w @ c @ w for c in row[:-1]))
 
 
 def _terms_from_canonical(
@@ -171,34 +169,20 @@ def decompose_rank_n(
 ) -> Decomposition:
     """Exact N-term product decomposition of a rank-N PPT state.
 
-    Pipeline: compress to the supported space; check PPT and that the global
-    rank equals the larger local dimension; draw a full-rank Alice direction
-    and decompose through the canonical form, with the parties swapped when
-    Alice's side is the larger one.  The terms are lifted back once, by
-    :func:`lift_decomposition`, which checks them against the input ``s``
-    itself, not its compression.  The result has exactly N terms, linearly
-    independent vectors on the rank side, and reconstructs ``s`` within
-    ``residual_abs * max(1, ||rho||_F)``.  Any other outcome raises
-    DecompositionFailed (DirectionNotFound included), CanonicalMismatch (from
-    ``joint_diagonalize``), NotPPT or RankTooLow.
+    One pass in one frame: compress, put Alice on the smaller side, check
+    PPT and that the rank equals Bob's dimension N, build the terms (one
+    eigh when M = 1, else a full-rank direction, the canonical form and its
+    joint eigenbasis), check that the Bob vectors are independent, swap
+    back, and lift once: :func:`lift_decomposition` checks the terms against
+    ``s`` itself within ``residual_abs * max(1, ||rho||_F)``.  Raises NotPPT
+    or RankTooLow (entangled), ValueError (rank above N), or
+    DecompositionFailed, DirectionNotFound and CanonicalMismatch included.
     """
     rng = np.random.default_rng(seed)
     sc, (va, vb) = support_compress(s, tol)
-    terms = _decompose_supported(sc, tol, rng)
-
-    # the local vectors on the larger (rank-carrying) side are independent
-    large_side = [pv.e if sc.dim_a > sc.dim_b else pv.f for _, pv in terms]
-    if numerical_rank(np.array(large_side), tol) != len(terms):
-        raise DecompositionFailed("decomposition vectors on the rank side are dependent")
-    return lift_decomposition(terms, va, vb, s, tol)
-
-
-def _decompose_supported(
-    sc: BipartiteState, tol: Tolerances, rng: np.random.Generator
-) -> list[tuple[float, ProductVector]]:
-    if sc.dim_a > sc.dim_b:
-        flipped = _decompose_supported(swap_parties(sc), tol, rng)
-        return [(w, ProductVector(pv.f, pv.e)) for w, pv in flipped]
+    swapped = sc.dim_a > sc.dim_b
+    if swapped:
+        sc = swap_parties(sc)
     m, n = sc.dim_a, sc.dim_b
     if not is_ppt(sc, tol):
         raise NotPPT("the state has a negative partial transpose")
@@ -210,12 +194,16 @@ def _decompose_supported(
 
     if m == 1:
         w, v = np.linalg.eigh(sc.rho)
-        terms = []
-        for i in range(n):
-            if w[i] <= tol.psd_floor(sc.trace):
-                raise DecompositionFailed("rank-N state produced a negligible eigenvalue")
-            terms.append((float(w[i]), ProductVector(np.ones(1, dtype=complex), v[:, i])))
-        return terms
+        if w[0] <= tol.psd_floor(sc.trace):
+            raise DecompositionFailed("rank-N state produced a negligible eigenvalue")
+        terms = [(float(w[i]), ProductVector(np.ones(1, dtype=complex), v[:, i]))
+                 for i in range(n)]
+    else:
+        cf = to_canonical_form(sc, find_full_rank_direction(sc, tol, rng), tol)
+        terms = _terms_from_canonical(cf, n, tol)
 
-    cf = to_canonical_form(sc, find_full_rank_direction(sc, tol, rng), tol)
-    return _terms_from_canonical(cf, n, tol)
+    if numerical_rank(np.array([pv.f for _, pv in terms]), tol) != n:
+        raise DecompositionFailed("decomposition vectors on the rank side are dependent")
+    if swapped:
+        terms = [(w, ProductVector(pv.f, pv.e)) for w, pv in terms]
+    return lift_decomposition(terms, va, vb, s, tol)

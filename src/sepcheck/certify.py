@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    CanonicalMismatch,
     DecompositionFailed,
     NonGeneric,
     NotPPT,
@@ -417,11 +416,9 @@ def separability_check(
             cert = decompose_rank_n(s, tol, rng)
         except (NotPPT, RankTooLow) as exc:
             return Verdict(ENTANGLED, type(exc).__name__, None, diag)
-        except DecompositionFailed:
-            return Verdict(INCONCLUSIVE, "BudgetExhausted", None, diag)
-        except CanonicalMismatch as exc:
-            # the canonical blocks are not jointly diagonalizable at this
-            # tolerance: no certificate, but no evidence of entanglement either
+        except DecompositionFailed as exc:
+            # no certificate at this tolerance, but no evidence of
+            # entanglement either; the cause goes with the verdict
             diag["rank_n_error"] = str(exc)
             return Verdict(INCONCLUSIVE, "BudgetExhausted", None, diag)
         return Verdict(SEPARABLE, None, cert, diag)

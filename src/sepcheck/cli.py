@@ -19,7 +19,6 @@ import numpy as np
 
 from .certify import _diagnostics, bsa_decompose, separability_check, verdict_to_json
 from .errors import (
-    CanonicalMismatch,
     DecompositionFailed,
     NonGeneric,
     NotPPT,
@@ -129,7 +128,7 @@ def cmd_decompose(args) -> int:
     except (NotPPT, RankTooLow) as exc:
         print(f"entangled: {exc}", file=sys.stderr)
         return EXIT_ENTANGLED
-    except (CanonicalMismatch, DecompositionFailed, ValueError) as exc:
+    except (DecompositionFailed, ValueError) as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     doc = decomposition_to_json(dec)

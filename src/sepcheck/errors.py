@@ -13,10 +13,6 @@ class RankDropViolation(SepcheckError):
     """A product subtraction failed to lower both ranks by exactly one."""
 
 
-class CanonicalMismatch(SepcheckError):
-    """Joint diagonalization left off-diagonal mass: the family is not normal and commuting."""
-
-
 class NotPPT(SepcheckError):
     """The state has a negative partial transpose."""
 
@@ -27,6 +23,13 @@ class RankTooLow(SepcheckError):
 
 class DecompositionFailed(SepcheckError):
     """Numerical breakdown while assembling a product decomposition."""
+
+
+class CanonicalMismatch(DecompositionFailed):
+    """Joint diagonalization left off-diagonal mass: the family is not normal and commuting.
+
+    A rank-N decomposition failure like any other.
+    """
 
 
 class DirectionNotFound(DecompositionFailed):

@@ -162,6 +162,19 @@ def near_product_rank_n_state(eps=1e-3, seed=0):
     return BipartiteState(2, 3, rho / np.trace(rho).real, normalized=True)
 
 
+def near_product_pure_state(eps=4e-5):
+    """The entangled pure 2x2 state sqrt(1 - eps)|00> + sqrt(eps)|11>.
+
+    Its partial transpose has the eigenvalue -sqrt(eps (1 - eps)), so under
+    a PSD floor of 1e-2 it passes the PPT screen; its global rank 1 stays
+    below its local rank 2.
+    """
+    v = np.zeros(4, dtype=complex)
+    v[0] = np.sqrt(1 - eps)
+    v[3] = np.sqrt(eps)
+    return BipartiteState(2, 2, np.outer(v, v.conj()), normalized=True)
+
+
 def near_product_mixture(dims, k, seed):
     """k equal-weight product terms whose Alice vectors crowd around one.
 

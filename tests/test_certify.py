@@ -3,6 +3,7 @@ import pytest
 
 from conftest import (
     near_product_mixture,
+    near_product_pure_state,
     near_product_rank_n_state,
     orthogonal_product_mixture,
 )
@@ -422,28 +423,37 @@ class TestPipelineEdges:
         return BipartiteState(m, n, reconstruction(terms, m, n))
 
     @pytest.mark.parametrize("m, n, seed", [(3, 4, 2540), (4, 4, 10), (4, 4, 1048),
-                                            (4, 4, 2255)])
+                                            (4, 4, 2255), (3, 3, 1178), (3, 3, 1680)])
     def test_skewed_weights_rank_n_separable(self, m, n, seed):
         # the 4x4 canonical blocks miss the normality and commutator
         # identities at 1x residual_abs in the filtered frame, yet their
-        # terms reconstruct the input to 1e-12
+        # terms reconstruct the input to 1e-12; the 3x3 blocks, read from
+        # one Alice block row, carry no rotation rounding for the joint
+        # diagonalization to trip on
         st = self._skewed_rank_n_state(m, n, seed)
         verdict = separability_check(st, seed=0)
         assert verdict.diagnostics["method"] == "rank_n_decomposition"
         assert verdict.status == "Separable"
         assert verdict.certificate.residual <= 1e-8
 
-    @pytest.mark.parametrize("seed", [1178, 1680])
-    def test_skewed_weights_rank_n_undecided_stays_sound(self, seed):
-        # 3x3 states the Jacobi joint diagonalization leaves undecided
-        # (ROADMAP item 2b): never Entangled, never certified above tolerance
-        st = self._skewed_rank_n_state(3, 3, seed)
+    @pytest.mark.parametrize("m, n, seed, cause", [
+        # compression cuts a direction that carries ~1e-8 of rho (item 2a)
+        (3, 3, 316, "reconstruction residual"),
+        # no Haar draw clears the local-block rank cutoff (item 2b)
+        (4, 4, 1249, "no full-rank direction"),
+    ])
+    def test_skewed_weights_rank_n_undecided_stays_sound(self, m, n, seed, cause):
+        # states the rank-N stage leaves undecided (ROADMAP item 2): never
+        # Entangled, never certified above tolerance, and the verdict says why
+        st = self._skewed_rank_n_state(m, n, seed)
         verdict = separability_check(st, seed=0)
         assert verdict.diagnostics["method"] == "rank_n_decomposition"
         assert verdict.status != "Entangled"
         if verdict.certificate is not None:
-            residual = frob(st.rho - reconstruction(verdict.certificate.terms, 3, 3))
+            residual = frob(st.rho - reconstruction(verdict.certificate.terms, m, n))
             assert residual <= DEFAULT_TOL.residual_abs * max(1.0, frob(st.rho))
+        else:
+            assert verdict.diagnostics["rank_n_error"].startswith(cause)
 
     @pytest.mark.parametrize("k, seed, method", [(3, 0, "rank_n_decomposition"),
                                                  (4, 2, "eligible_vectors")])
@@ -486,6 +496,7 @@ class TestPipelineEdges:
         verdict = separability_check(st, seed=0)
         assert (verdict.status, verdict.reason) == ("Inconclusive", "BudgetExhausted")
         assert verdict.diagnostics["method"] == "rank_n_decomposition"
+        assert verdict.diagnostics["rank_n_error"] == "no full-rank direction"
 
     def test_rank_below_local_detected_under_loose_psd(self):
         # a near-product entangled pure state whose partial-transpose
@@ -493,12 +504,7 @@ class TestPipelineEdges:
         # convicts it (global rank one below local rank two)
         from sepcheck.numlin import Tolerances
 
-        eps = 4e-5
-        v = np.zeros(4, dtype=complex)
-        v[0] = np.sqrt(1 - eps)
-        v[3] = np.sqrt(eps)
-        st = BipartiteState(2, 2, np.outer(v, v.conj()), normalized=True)
-        verdict = separability_check(st, Tolerances(psd_abs=1e-2), seed=0)
+        verdict = separability_check(near_product_pure_state(), Tolerances(psd_abs=1e-2), seed=0)
         assert verdict.status == "Entangled"
         assert verdict.reason == "RankBelowLocal"
         assert verdict.diagnostics["method"] == "rank_below_local"

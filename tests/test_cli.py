@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import near_product_rank_n_state
+from conftest import near_product_pure_state, near_product_rank_n_state
 from sepcheck.canon import decompose_rank_n
 from sepcheck.certify import separability_check
 from sepcheck.cli import main
@@ -206,6 +206,16 @@ class TestOtherCommands:
         assert capsys.readouterr().err.startswith("entangled:")
         assert main(["decompose", str(mixed)]) == 2
         assert capsys.readouterr().err.startswith("failed: rank 4 exceeds")
+
+    def test_decompose_rank_below_bob_rank_exits_one(self, tmp_path, capsys):
+        # the loosened PSD floor lets the entangled state through the PPT
+        # gate, and the rank gate convicts it
+        path = tmp_path / "pure.json"
+        write_json(state_to_json(near_product_pure_state()), path)
+        assert main(["decompose", str(path), "--tol-psd", "1e-2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("entangled: rank 1 below Bob rank 2")
 
     def test_eligible_vectors_outside_the_window_exits_two(self, tmp_path, capsys):
         path = tmp_path / "mixed.json"

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -48,3 +49,31 @@ def test_every_error_class_is_raised():
     dead = [name for name, cls in classes.items()
             if not any(issubclass(r, cls) for r in raised)]
     assert dead == []
+
+
+def _references(node) -> list[str]:
+    # every name a subtree uses: loads, attributes and imported names
+    names = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.append(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.append(sub.name)
+    return names
+
+
+def test_every_private_helper_is_used():
+    # a module-level _helper that nothing outside its own body refers to is
+    # dead code left behind by a deletion
+    trees = [ast.parse(path.read_text())
+             for path in sorted(Path(sepcheck.__file__).parent.glob("*.py"))]
+    used = Counter(name for tree in trees for name in _references(tree))
+    orphans = [
+        node.name for tree in trees for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and used[node.name] == Counter(_references(node))[node.name]
+    ]
+    assert orphans == []
