@@ -30,11 +30,11 @@ from .errors import (
 from .numlin import (
     DEFAULT_TOL,
     Tolerances,
+    _rank,
     frob,
     inv_sqrt_on_range,
     joint_diagonalize,
     kernel_basis,
-    numerical_rank,
     pseudo_inverse,
 )
 from .state import (
@@ -170,11 +170,11 @@ def decompose_rank_n(
     """Exact N-term product decomposition of a rank-N PPT state.
 
     One pass in one frame: compress, put Alice on the smaller side, check
-    PPT and that the rank equals Bob's dimension N, build the terms (one
-    eigh when M = 1, else a full-rank direction, the canonical form and its
-    joint eigenbasis), check that the Bob vectors are independent, swap
-    back, and lift once: :func:`lift_decomposition` checks the terms against
-    ``s`` itself within ``residual_abs * max(1, ||rho||_F)``.  Raises NotPPT
+    PPT and that the rank, read from the state's spectrum, equals Bob's
+    dimension N, build the terms (one eigh when M = 1, else a full-rank
+    direction, the canonical form and its joint eigenbasis), swap back, and
+    lift once: :func:`lift_decomposition` checks the terms against ``s``
+    itself within ``residual_abs * max(1, ||rho||_F)``.  Raises NotPPT
     or RankTooLow (entangled), ValueError (rank above N), or
     DecompositionFailed, DirectionNotFound and CanonicalMismatch included.
     """
@@ -186,7 +186,7 @@ def decompose_rank_n(
     m, n = sc.dim_a, sc.dim_b
     if not is_ppt(sc, tol):
         raise NotPPT("the state has a negative partial transpose")
-    r = numerical_rank(sc.rho, tol)
+    r = _rank(np.abs(sc.eigenvalues), tol)
     if r < n:
         raise RankTooLow(f"rank {r} below Bob rank {n}: distillable, hence entangled")
     if r > n:
@@ -202,8 +202,6 @@ def decompose_rank_n(
         cf = to_canonical_form(sc, find_full_rank_direction(sc, tol, rng), tol)
         terms = _terms_from_canonical(cf, n, tol)
 
-    if numerical_rank(np.array([pv.f for _, pv in terms]), tol) != n:
-        raise DecompositionFailed("decomposition vectors on the rank side are dependent")
     if swapped:
         terms = [(w, ProductVector(pv.f, pv.e)) for w, pv in terms]
     return lift_decomposition(terms, va, vb, s, tol)

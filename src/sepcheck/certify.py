@@ -25,7 +25,7 @@ from .errors import (
     RankSumTooHigh,
     RankTooLow,
 )
-from .numlin import DEFAULT_TOL, Tolerances, frob, numerical_rank, pseudo_inverse, range_basis
+from .numlin import DEFAULT_TOL, Tolerances, _rank, frob, numerical_rank, pseudo_inverse, range_basis
 from .state import (
     BipartiteState,
     Decomposition,
@@ -126,10 +126,15 @@ def minimize_scalar(*args, **kwargs):
     return _minimize_scalar(*args, **kwargs)
 
 
-def _diagnostics(s: BipartiteState, tol: Tolerances) -> dict:
+def _diagnostics(s: BipartiteState, pt_eigenvalues: np.ndarray, tol: Tolerances) -> dict:
+    """Dimensions, trace, ranks and kernel dimensions of ``s``.
+
+    ``pt_eigenvalues`` is the spectrum of the partial transpose, which the
+    caller's PPT test computed; the rank of rho reads ``s.eigenvalues``.
+    """
     mn = s.dim_a * s.dim_b
-    rank = numerical_rank(s.rho, tol)
-    rank_ta = numerical_rank(partial_transpose(s), tol)
+    rank = _rank(np.abs(s.eigenvalues), tol)
+    rank_ta = _rank(np.abs(pt_eigenvalues), tol)
     return {
         "dims": [s.dim_a, s.dim_b],
         "trace": s.trace,
@@ -149,8 +154,7 @@ def spectral_ball_check(s: BipartiteState, tol: Tolerances = DEFAULT_TOL) -> boo
     information about separability.
     """
     mn = s.dim_a * s.dim_b
-    wmin = float(np.linalg.eigvalsh(s.rho)[0])
-    return wmin >= 1.0 / (2.0 + mn) - tol.psd_abs
+    return float(s.eigenvalues[0]) >= 1.0 / (2.0 + mn) - tol.psd_abs
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +181,12 @@ def certify_by_subsets(
     :func:`nnls`), which bounds the certificate by min(r^2, r_ta^2) terms,
     and the certificate must pass :func:`lift_decomposition`'s residual
     check.  One that fails is inconclusive, never entangled, since the set
-    may miss a vector although it claims to be exhaustive.
+    may miss a vector although it claims to be exhaustive; the check's
+    message goes to ``eligible_error``.
     """
     eye = (np.eye(s.dim_a, dtype=complex), np.eye(s.dim_b, dtype=complex))
-    return _certify_eligible(s, s, eye, es, tol, _diagnostics(s, tol))
+    diag = _diagnostics(s, np.linalg.eigvalsh(partial_transpose(s)), tol)
+    return _certify_eligible(s, s, eye, es, tol, diag)
 
 
 def _certify_eligible(
@@ -206,7 +212,8 @@ def _certify_eligible(
     terms = [(float(w), pv) for w, pv in zip(sol, projs) if w > tol.residual_abs]
     try:
         cert = lift_decomposition(terms, *isometries, s, tol)
-    except DecompositionFailed:
+    except DecompositionFailed as exc:
+        diag["eligible_error"] = str(exc)
         return Verdict(INCONCLUSIVE, "BudgetExhausted", None, diag)
     return Verdict(SEPARABLE, None, cert, diag)
 
@@ -387,12 +394,11 @@ def separability_check(
 
     rng = np.random.default_rng(seed)
     sc, (va, vb) = support_compress(s, tol)
-    diag = _diagnostics(sc, tol)
+    w, vecs = np.linalg.eigh(partial_transpose(sc))
+    diag = _diagnostics(sc, w, tol)
     diag["compressed_dims"] = [sc.dim_a, sc.dim_b]
     diag["dims"] = [s.dim_a, s.dim_b]
 
-    pt = partial_transpose(sc)
-    w, vecs = np.linalg.eigh(pt)
     if float(w[0]) < -tol.psd_floor(sc.trace):
         witness = np.kron(va.conj(), vb) @ vecs[:, 0]
         diag["npt_eigenvalue"] = float(w[0])

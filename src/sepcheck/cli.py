@@ -31,7 +31,6 @@ from .numlin import Tolerances
 from .state import (
     decomposition_from_json,
     decomposition_to_json,
-    is_ppt,
     load_state,
     partial_transpose,
     read_json,
@@ -74,12 +73,13 @@ def _load(args) -> None:
 
 def cmd_inspect(args) -> int:
     s = args.state
-    report = _diagnostics(s, args.tol)
+    w = np.linalg.eigvalsh(partial_transpose(s))
+    report = _diagnostics(s, w, args.tol)
     report["dim_a"], report["dim_b"] = report.pop("dims")
     rank_sum = report["rank"] + report["rank_ta"]
     bound = 2 * s.dim_a * s.dim_b - s.dim_a - s.dim_b + 2
-    report.update(ppt=is_ppt(s, args.tol), rank_sum=rank_sum, rank_sum_bound=bound,
-                  rank_sum_within_bound=rank_sum <= bound)
+    report.update(ppt=bool(w[0] >= -args.tol.psd_floor(s.trace)), rank_sum=rank_sum,
+                  rank_sum_bound=bound, rank_sum_within_bound=rank_sum <= bound)
     write_json(report)
     return 0
 

@@ -45,7 +45,12 @@ class RankSumTooHigh(SepcheckError):
 
 
 class NonGeneric(SepcheckError):
-    """Polynomial elimination degenerated; the solution set may be infinite."""
+    """The eligible product vectors may form a continuum, not a finite set.
+
+    Raised when polynomial elimination degenerates, and for product-vector
+    continua: by the generic-rank probe, when the constraint matrix is rank
+    deficient at a random alpha, and on a scalar Alice side of rank above one.
+    """
 
 
 class DegenerateRowChoice(NonGeneric):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numlin import DEFAULT_TOL, Tolerances, numerical_rank
+from .numlin import DEFAULT_TOL, Tolerances, _rank, numerical_rank
 from .state import BipartiteState, Decomposition, ProductVector, partial_transpose, reconstruction
 
 __all__ = [
@@ -105,7 +105,7 @@ def random_separable(spec: GeneratorSpec, tol: Tolerances = DEFAULT_TOL,
         if spec.target_ranks is None:
             return state, dec
         r_target, rt_target = spec.target_ranks
-        if numerical_rank(state.rho, tol) != r_target:
+        if _rank(np.abs(state.eigenvalues), tol) != r_target:
             continue
         if rt_target is not None:
             pt_rank = numerical_rank(partial_transpose(state), tol)

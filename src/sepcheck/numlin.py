@@ -83,10 +83,8 @@ def _hermitize(m: np.ndarray, tol: Tolerances, what: str = "matrix") -> np.ndarr
 
 
 def _rank(s: np.ndarray, tol: Tolerances) -> int:
-    """Count of singular values (sorted descending) above ``rank_rel * s[0]``."""
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.rank_rel * s[0]))
+    """Count of singular values, or Hermitian |eigenvalues|, above rank_rel times the largest."""
+    return int(np.count_nonzero(s > tol.rank_rel * np.max(s, initial=0.0)))
 
 
 def numerical_rank(m, tol: Tolerances = DEFAULT_TOL) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoAlignment, RankDropViolation
-from .numlin import DEFAULT_TOL, Tolerances, as_cmatrix, frob, kernel_basis, numerical_rank, pseudo_inverse
+from .numlin import DEFAULT_TOL, Tolerances, _rank, as_cmatrix, frob, kernel_basis, numerical_rank, pseudo_inverse
 from .state import BipartiteState, partial_transpose
 
 __all__ = ["ReductionStep", "Alignment", "probe_kernel_alignment", "subtract_product"]
@@ -131,16 +131,16 @@ def subtract_product(
     v = step.vector
     rho1 = s.rho - step.lam * np.outer(v, v.conj())
 
-    r_before = numerical_rank(s.rho, tol)
+    r_before = _rank(np.abs(s.eigenvalues), tol)
     rt_before = numerical_rank(partial_transpose(s), tol)
     try:
         out = BipartiteState(s.dim_a, s.dim_b, rho1, normalized=False, tol=tol)
     except ValueError as exc:
         raise RankDropViolation(f"subtraction broke positivity: {exc}") from exc
-    r_after = numerical_rank(out.rho, tol)
-    pt_after = partial_transpose(out)
-    rt_after = numerical_rank(pt_after, tol)
-    if float(np.linalg.eigvalsh(pt_after)[0]) < -tol.psd_floor(out.trace):
+    r_after = _rank(np.abs(out.eigenvalues), tol)
+    w_after = np.linalg.eigvalsh(partial_transpose(out))
+    rt_after = _rank(np.abs(w_after), tol)
+    if float(w_after[0]) < -tol.psd_floor(out.trace):
         raise RankDropViolation("subtraction broke the PPT property")
     if r_after != r_before - 1 or rt_after != rt_before - 1:
         raise RankDropViolation(

@@ -49,10 +49,13 @@ class BipartiteState:
     Unnormalized states are first class: local filters break normalization
     and all rank/kernel logic ignores it.  ``rho`` is validated (finite,
     Hermitian, PSD within tolerance) and stored read-only; treat instances
-    as immutable values.
+    as immutable values.  ``eigenvalues`` keeps the ascending spectrum of
+    ``rho`` that the PSD check computes, read-only too: the rank of ``rho``
+    is ``numlin._rank`` of its moduli and its smallest eigenvalue is the
+    first entry, so no reader decomposes ``rho`` again.
     """
 
-    __slots__ = ("dim_a", "dim_b", "rho", "normalized")
+    __slots__ = ("dim_a", "dim_b", "rho", "eigenvalues", "normalized")
 
     def __init__(self, dim_a: int, dim_b: int, rho, normalized: bool = False,
                  tol: Tolerances = DEFAULT_TOL):
@@ -67,15 +70,17 @@ class BipartiteState:
         mat = _hermitize(mat, tol, "density matrix")
         tr = float(np.trace(mat).real)
         floor = tol.psd_floor(tr)
-        wmin = float(np.linalg.eigvalsh(mat)[0]) if mn > 0 else 0.0
-        if wmin < -floor:
-            raise ValueError(f"density matrix has eigenvalue {wmin:.3e} below -{floor:.3e}")
+        w = np.linalg.eigvalsh(mat)
+        if w[0] < -floor:
+            raise ValueError(f"density matrix has eigenvalue {w[0]:.3e} below -{floor:.3e}")
         if normalized and abs(tr - 1.0) > tol.residual_abs:
             raise ValueError(f"trace {tr!r} differs from 1 beyond tolerance")
         mat.setflags(write=False)
+        w.setflags(write=False)
         self.dim_a = dim_a
         self.dim_b = dim_b
         self.rho = mat
+        self.eigenvalues = w
         self.normalized = bool(normalized)
 
     @property

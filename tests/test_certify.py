@@ -22,7 +22,9 @@ from sepcheck.fixtures import (
     GeneratorSpec,
     haar_unitary,
     haar_vector,
+    isotropic_family,
     maximally_mixed,
+    random_ppt,
     random_separable,
     random_separable_rank_deficient,
     tiles_upb_state,
@@ -146,6 +148,8 @@ class TestCertifyBySubsets:
         assert verdict.status == "Inconclusive"
         assert verdict.reason == "BudgetExhausted"
         assert verdict.diagnostics["nnls_residual"] > DEFAULT_TOL.residual_abs
+        # the lift's reason travels with the verdict
+        assert "reconstruction residual" in verdict.diagnostics["eligible_error"]
 
 
 class TestNnls:
@@ -541,27 +545,43 @@ class TestPipelineEdges:
         assert verdict.diagnostics["dims"] == [3, 4]
         assert verdict.diagnostics["compressed_dims"] == [3, 3]
 
-    def test_eligible_verdict_measures_ranks_once(self, monkeypatch):
-        # rank, rank_ta and the two local ranks: four numerical_rank calls
-        import sys
+    @pytest.mark.parametrize("family, expected", [
+        ("npt", 1),
+        ("spectral_ball", 1),
+        ("rank_n_decomposition", 2),
+        ("eligible_vectors", 4),
+    ])
+    def test_verdict_decomposes_each_operator_once(self, monkeypatch, family, expected):
+        # svd, eigh and eigvalsh calls on MN x MN matrices inside the
+        # pipeline.  The state's own spectrum comes from its constructor and
+        # the pipeline's one eigh of rho^T_A answers the NPT test and
+        # rank_ta, so an NPT or spectral-ball verdict needs nothing else.  A
+        # rank-N verdict adds the decomposition's PPT gate; an eligible one
+        # adds the local filter's state and the two kernel bases.
+        def planted(k, seed):
+            return random_separable(GeneratorSpec(dims=(3, 3), term_count=k, seed=seed))[0]
 
-        import sepcheck.numlin
-
-        original = sepcheck.numlin.numerical_rank
+        st, seed = {
+            "npt": (random_ppt(GeneratorSpec((3, 3), family="ppt-random", p=0.0, seed=3)), 3),
+            "spectral_ball": (isotropic_family(3, 0.1), 0),
+            "rank_n_decomposition": (planted(3, 5), 5),
+            "eligible_vectors": (planted(5, 12), 12),
+        }[family]
         calls = []
+        for name in ("svd", "eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+            def counting(a, *args, _name=name, _original=original, **kwargs):
+                if np.shape(a) == (9, 9):
+                    calls.append(_name)
+                return _original(a, *args, **kwargs)
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("sepcheck") and getattr(module, "numerical_rank", None) is original:
-                monkeypatch.setattr(module, "numerical_rank", counting)
-        st, _ = random_separable(GeneratorSpec(dims=(3, 3), term_count=5, seed=12))
-        verdict = separability_check(st, seed=12)
-        assert verdict.diagnostics["method"] == "eligible_vectors"
-        assert verdict.status == "Separable"
-        assert len(calls) == 4
+            monkeypatch.setattr(np.linalg, name, counting)
+        verdict = separability_check(st, seed=seed)
+        monkeypatch.undo()
+        assert verdict.diagnostics["method"] == family
+        assert verdict.status == ("Entangled" if family == "npt" else "Separable")
+        assert len(calls) == expected, calls
 
     def test_bsa_nonconvergence_flag(self):
         st, dec = random_separable(GeneratorSpec(dims=(3, 3), term_count=5, seed=41))

@@ -9,8 +9,14 @@ from conftest import near_product_pure_state, near_product_rank_n_state
 from sepcheck.canon import decompose_rank_n
 from sepcheck.certify import separability_check
 from sepcheck.cli import main
-from sepcheck.fixtures import GeneratorSpec, generate
-from sepcheck.state import decomposition_from_json, load_state, state_to_json, write_json
+from sepcheck.fixtures import GeneratorSpec, generate, werner_family
+from sepcheck.state import (
+    decomposition_from_json,
+    load_state,
+    partial_transpose,
+    state_to_json,
+    write_json,
+)
 
 
 def run_cli(args):
@@ -82,6 +88,17 @@ class TestInspect:
         assert main(["inspect", str(path)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["rank"] == 1 and report["rank_ta"] == 1
+
+    def test_npt_state_report(self, tmp_path, capsys):
+        # Werner p = 1 is the Bell state: its partial transpose has one
+        # negative eigenvalue, which counts toward rank_ta by its modulus
+        st = werner_family(1.0)
+        path = tmp_path / "bell.json"
+        write_json(state_to_json(st), path)
+        assert main(["inspect", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ppt"] is False
+        assert report["rank_ta"] == np.linalg.matrix_rank(partial_transpose(st)) == 4
 
     def test_malformed_input_exits_3(self, tmp_path):
         path = tmp_path / "bad.json"

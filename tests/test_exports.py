@@ -77,3 +77,20 @@ def test_every_private_helper_is_used():
         and used[node.name] == Counter(_references(node))[node.name]
     ]
     assert orphans == []
+
+
+def test_no_rank_of_rho_is_measured_twice():
+    # a BipartiteState carries the spectrum of rho from its PSD check, so
+    # numerical_rank(<state>.rho) is a second decomposition of the same
+    # operator; ranks of rho read the eigenvalues through numlin._rank
+    calls = []
+    for path in sorted(Path(sepcheck.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = getattr(node.func, "id", getattr(node.func, "attr", None))
+            args = list(node.args) + [kw.value for kw in node.keywords]
+            if func == "numerical_rank" and any(
+                    isinstance(a, ast.Attribute) and a.attr == "rho" for a in args):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
