@@ -25,16 +25,16 @@ from .errors import (
     RankSumTooHigh,
     RankTooLow,
 )
-from .numlin import DEFAULT_TOL, Tolerances, _rank, frob, numerical_rank, pseudo_inverse, range_basis
+from .numlin import DEFAULT_TOL, Tolerances, frob, numerical_rank, pseudo_inverse, range_basis
 from .state import (
     BipartiteState,
     Decomposition,
     ProductVector,
     decomposition_to_json,
+    is_ppt,
     lift_decomposition,
     partial_transpose,
-    reduced_a,
-    reduced_b,
+    state_report,
     support_compress,
     vector_to_json,
 )
@@ -126,27 +126,6 @@ def minimize_scalar(*args, **kwargs):
     return _minimize_scalar(*args, **kwargs)
 
 
-def _diagnostics(s: BipartiteState, pt_eigenvalues: np.ndarray, tol: Tolerances) -> dict:
-    """Dimensions, trace, ranks and kernel dimensions of ``s``.
-
-    ``pt_eigenvalues`` is the spectrum of the partial transpose, which the
-    caller's PPT test computed; the rank of rho reads ``s.eigenvalues``.
-    """
-    mn = s.dim_a * s.dim_b
-    rank = _rank(np.abs(s.eigenvalues), tol)
-    rank_ta = _rank(np.abs(pt_eigenvalues), tol)
-    return {
-        "dims": [s.dim_a, s.dim_b],
-        "trace": s.trace,
-        "rank": rank,
-        "rank_ta": rank_ta,
-        "local_rank_a": numerical_rank(reduced_a(s), tol),
-        "local_rank_b": numerical_rank(reduced_b(s), tol),
-        "kernel_dim": mn - rank,
-        "kernel_dim_ta": mn - rank_ta,
-    }
-
-
 def spectral_ball_check(s: BipartiteState, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Sufficient condition: smallest eigenvalue at least 1 / (2 + MN).
 
@@ -185,7 +164,7 @@ def certify_by_subsets(
     message goes to ``eligible_error``.
     """
     eye = (np.eye(s.dim_a, dtype=complex), np.eye(s.dim_b, dtype=complex))
-    diag = _diagnostics(s, np.linalg.eigvalsh(partial_transpose(s)), tol)
+    diag = state_report(s, np.linalg.eigvalsh(partial_transpose(s)), tol)
     return _certify_eligible(s, s, eye, es, tol, diag)
 
 
@@ -197,7 +176,7 @@ def _certify_eligible(
     tol: Tolerances,
     diag: dict,
 ) -> Verdict:
-    # certify_by_subsets on the compression sc of s, with sc's diagnostics
+    # certify_by_subsets on the compression sc of s, with sc's report
     # already measured; the certificate is lifted to s and checked there
     diag = dict(diag)
     if len(es.vectors) == 0:
@@ -352,8 +331,6 @@ def kernel_witness_bound(
     """
     if s.dim_a != sigma.dim_a or s.dim_b != sigma.dim_b:
         raise PreconditionFailed("witness dimensions do not match the state")
-    from .state import is_ppt
-
     if not is_ppt(sigma, tol):
         raise PreconditionFailed("witness state is not PPT")
     r_sigma = range_basis(sigma.rho, tol)
@@ -395,7 +372,7 @@ def separability_check(
     rng = np.random.default_rng(seed)
     sc, (va, vb) = support_compress(s, tol)
     w, vecs = np.linalg.eigh(partial_transpose(sc))
-    diag = _diagnostics(sc, w, tol)
+    diag = state_report(sc, w, tol)
     diag["compressed_dims"] = [sc.dim_a, sc.dim_b]
     diag["dims"] = [s.dim_a, s.dim_b]
 

@@ -5,7 +5,8 @@ Exit codes are a stable contract: 0 separable / success, 1 entangled,
 flag or SEPCHECK_SEED values and unwritable outputs all exit 3 with one
 ``error:`` line; output files are written before stdout.  All randomized
 behavior is reproducible from --seed alone; SEPCHECK_SEED provides the
-environment default that an explicit --seed overrides.
+environment default that an explicit --seed overrides.  Each command imports
+the stage it runs, so ``inspect`` and ``ppt`` never load the solver.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import traceback
 
 import numpy as np
 
-from .certify import _diagnostics, bsa_decompose, separability_check, verdict_to_json
 from .errors import (
     DecompositionFailed,
     NonGeneric,
@@ -34,11 +34,11 @@ from .state import (
     load_state,
     partial_transpose,
     read_json,
+    state_report,
     state_to_json,
     vector_to_json,
     write_json,
 )
-from .vectors import enumerate_eligible
 
 EXIT_SEPARABLE = 0
 EXIT_ENTANGLED = 1
@@ -74,7 +74,7 @@ def _load(args) -> None:
 def cmd_inspect(args) -> int:
     s = args.state
     w = np.linalg.eigvalsh(partial_transpose(s))
-    report = _diagnostics(s, w, args.tol)
+    report = state_report(s, w, args.tol)
     report["dim_a"], report["dim_b"] = report.pop("dims")
     rank_sum = report["rank"] + report["rank_ta"]
     bound = 2 * s.dim_a * s.dim_b - s.dim_a - s.dim_b + 2
@@ -85,6 +85,8 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from .certify import separability_check, verdict_to_json
+
     verdict = separability_check(args.state, args.tol, seed=args.seed)
     if verdict.certificate is not None:
         write_json(decomposition_to_json(verdict.certificate),
@@ -139,6 +141,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_eligible(args) -> int:
+    from .vectors import enumerate_eligible
+
     try:
         es = enumerate_eligible(args.state, args.tol, seed=args.seed)
     except (NonGeneric, RankSumTooHigh) as exc:
@@ -155,6 +159,8 @@ def cmd_eligible(args) -> int:
 
 
 def cmd_bsa(args) -> int:
+    from .certify import bsa_decompose
+
     result = bsa_decompose(args.state, args.projectors, args.tol, max_iters=args.max_iters)
     write_json({
         "lambda": result.lam,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numlin import DEFAULT_TOL, Tolerances, _rank, numerical_rank
-from .state import BipartiteState, Decomposition, ProductVector, partial_transpose, reconstruction
+from .state import BipartiteState, Decomposition, ProductVector, _transpose_a, partial_transpose, reconstruction
 
 __all__ = [
     "GeneratorSpec",
@@ -80,8 +80,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 def _assemble(terms, dim_a, dim_b, normalized=True) -> tuple[BipartiteState, Decomposition]:
     rho = reconstruction(terms, dim_a, dim_b)
     state = BipartiteState(dim_a, dim_b, rho, normalized=normalized)
-    residual = 0.0  # exact by construction
-    return state, Decomposition(tuple(terms), residual)
+    return state, Decomposition(tuple(terms), 0.0)  # exact by construction
 
 
 def random_separable(spec: GeneratorSpec, tol: Tolerances = DEFAULT_TOL,
@@ -105,13 +104,9 @@ def random_separable(spec: GeneratorSpec, tol: Tolerances = DEFAULT_TOL,
         if spec.target_ranks is None:
             return state, dec
         r_target, rt_target = spec.target_ranks
-        if _rank(np.abs(state.eigenvalues), tol) != r_target:
-            continue
-        if rt_target is not None:
-            pt_rank = numerical_rank(partial_transpose(state), tol)
-            if pt_rank != rt_target:
-                continue
-        return state, dec
+        if _rank(np.abs(state.eigenvalues), tol) == r_target and (
+                rt_target is None or numerical_rank(partial_transpose(state), tol) == rt_target):
+            return state, dec
     raise ValueError(f"could not hit target ranks {spec.target_ranks} in {max_retries} draws")
 
 
@@ -150,9 +145,10 @@ def random_separable_rank_deficient(
 def random_ppt(spec: GeneratorSpec) -> BipartiteState:
     """Full-rank random state mixed toward the identity until PPT holds.
 
-    Draws a Wishart state, then bisects the smallest admixture of the
-    maximally mixed state that makes the partial transpose nonnegative, and
-    keeps a small safety margin past it.  ``spec.p`` overrides the admixture.
+    Draws a Wishart state W and mixes in I/MN with weight t, which maps every
+    eigenvalue l of W^T_A to (1 - t) l + t/MN.  With l the smallest one, the
+    partial transpose turns nonnegative at t* = l / (l - 1/MN), and t keeps a
+    safety margin of 0.01 past it.  ``spec.p`` overrides the admixture.
     """
     m, n = spec.dims
     mn = m * n
@@ -161,25 +157,11 @@ def random_ppt(spec: GeneratorSpec) -> BipartiteState:
     w = g @ g.conj().T
     w /= np.trace(w).real
     pi = np.eye(mn) / mn
-
-    def min_pt_eig(t: float) -> float:
-        mix = (1.0 - t) * w + t * pi
-        st = BipartiteState(m, n, mix, normalized=True)
-        return float(np.linalg.eigvalsh(partial_transpose(st))[0])
-
     if spec.p is not None:
         t = float(spec.p)
-    elif min_pt_eig(0.0) >= 0.0:
-        t = 0.0
     else:
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if min_pt_eig(mid) >= 0.0:
-                hi = mid
-            else:
-                lo = mid
-        t = min(1.0, hi + 0.01)
+        lam = float(np.linalg.eigvalsh(_transpose_a(w, m, n))[0])
+        t = 0.0 if lam >= 0.0 else min(1.0, lam / (lam - 1.0 / mn) + 0.01)
     mix = (1.0 - t) * w + t * pi
     return BipartiteState(m, n, mix, normalized=True)
 

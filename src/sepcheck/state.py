@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecompositionFailed
-from .numlin import DEFAULT_TOL, Tolerances, _hermitize, as_cmatrix, frob, range_basis
+from .numlin import DEFAULT_TOL, Tolerances, _hermitize, _rank, as_cmatrix, frob, numerical_rank, range_basis
 
 __all__ = [
     "BipartiteState",
@@ -31,6 +31,7 @@ __all__ = [
     "lift_decomposition",
     "swap_parties",
     "reconstruction",
+    "state_report",
     "canonicalize",
     "vector_to_json",
     "state_to_json",
@@ -52,7 +53,8 @@ class BipartiteState:
     as immutable values.  ``eigenvalues`` keeps the ascending spectrum of
     ``rho`` that the PSD check computes, read-only too: the rank of ``rho``
     is ``numlin._rank`` of its moduli and its smallest eigenvalue is the
-    first entry, so no reader decomposes ``rho`` again.
+    first entry, so no reader decomposes ``rho`` again, nor the permutation
+    and unitary copies that :func:`swap_parties` and :func:`local_filter` make.
     """
 
     __slots__ = ("dim_a", "dim_b", "rho", "eigenvalues", "normalized")
@@ -90,6 +92,16 @@ class BipartiteState:
     def __repr__(self):
         tag = "normalized" if self.normalized else "unnormalized"
         return f"BipartiteState({self.dim_a}x{self.dim_b}, trace={self.trace:.6g}, {tag})"
+
+
+def _similar(s: BipartiteState, dim_a: int, dim_b: int, rho, normalized: bool) -> BipartiteState:
+    # a state similar to the validated ``s``: hermitized as the constructor
+    # does, but with the spectrum of ``s`` in place of a PSD check
+    out = object.__new__(BipartiteState)
+    out.rho = _hermitize(rho, DEFAULT_TOL, "density matrix")
+    out.rho.setflags(write=False)
+    out.dim_a, out.dim_b, out.eigenvalues, out.normalized = dim_a, dim_b, s.eigenvalues, normalized
+    return out
 
 
 @dataclass(frozen=True)
@@ -151,17 +163,36 @@ def _axes_view(s: BipartiteState) -> np.ndarray:
     return s.rho.reshape(s.dim_a, s.dim_b, s.dim_a, s.dim_b)
 
 
+def _transpose_a(rho: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    # the partial transpose of a bare MN x MN matrix
+    r = rho.reshape(dim_a, dim_b, dim_a, dim_b).transpose(2, 1, 0, 3)
+    return np.ascontiguousarray(r).reshape(rho.shape)
+
+
 def partial_transpose(s: BipartiteState) -> np.ndarray:
     """Transpose on Alice's indices: block (i, j) of the output is block (j, i)."""
-    r = _axes_view(s)
+    return _transpose_a(s.rho, s.dim_a, s.dim_b)
+
+
+def state_report(s: BipartiteState, pt_eigenvalues: np.ndarray,
+                 tol: Tolerances = DEFAULT_TOL) -> dict:
+    """Dimensions, trace, ranks, local ranks and kernel dimensions of ``s``.
+
+    The rank of rho reads ``s.eigenvalues``; ``pt_eigenvalues`` is the
+    spectrum of the partial transpose, which the caller's PPT test computed.
+    """
     mn = s.dim_a * s.dim_b
-    return np.ascontiguousarray(r.transpose(2, 1, 0, 3)).reshape(mn, mn)
+    rank = _rank(np.abs(s.eigenvalues), tol)
+    rank_ta = _rank(np.abs(pt_eigenvalues), tol)
+    return {"dims": [s.dim_a, s.dim_b], "trace": s.trace, "rank": rank, "rank_ta": rank_ta,
+            "local_rank_a": numerical_rank(reduced_a(s), tol),
+            "local_rank_b": numerical_rank(reduced_b(s), tol),
+            "kernel_dim": mn - rank, "kernel_dim_ta": mn - rank_ta}
 
 
 def is_ppt(s: BipartiteState, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff the partial transpose has no eigenvalue below the PSD floor."""
-    pt = partial_transpose(s)
-    return float(np.linalg.eigvalsh(pt)[0]) >= -tol.psd_floor(s.trace)
+    return float(np.linalg.eigvalsh(partial_transpose(s))[0]) >= -tol.psd_floor(s.trace)
 
 
 def block(s: BipartiteState, i: int, j: int) -> np.ndarray:
@@ -187,7 +218,8 @@ def local_filter(s: BipartiteState, side: str, v) -> BipartiteState:
 
     Unnormalized output.  With invertible V the operation is reversible and
     preserves the PPT property and both global ranks; non-invertible V acts
-    as a projection-like map and loses reversibility.
+    as a projection-like map and loses reversibility.  A unitary V is a
+    similarity, so the output keeps the spectrum of ``s``.
     """
     mat = as_cmatrix(v)
     if side == "A":
@@ -200,7 +232,11 @@ def local_filter(s: BipartiteState, side: str, v) -> BipartiteState:
         w = np.kron(np.eye(s.dim_a), mat)
     else:
         raise ValueError("side must be 'A' or 'B'")
-    return BipartiteState(s.dim_a, s.dim_b, w @ s.rho @ w.conj().T, normalized=False)
+    rho = w @ s.rho @ w.conj().T
+    # this close to unitary, V moves no eigenvalue by more than ~1e-13 ||rho||
+    if frob(mat @ mat.conj().T - np.eye(len(mat))) <= 1e-13:
+        return _similar(s, s.dim_a, s.dim_b, rho, normalized=False)
+    return BipartiteState(s.dim_a, s.dim_b, rho, normalized=False)
 
 
 def support_compress(
@@ -245,11 +281,9 @@ def lift_decomposition(terms, va: np.ndarray, vb: np.ndarray, s: BipartiteState,
 
 
 def swap_parties(s: BipartiteState) -> BipartiteState:
-    """Exchange the roles of Alice and Bob."""
+    """Exchange the roles of Alice and Bob; a permutation keeps the spectrum."""
     r = _axes_view(s).transpose(1, 0, 3, 2)
-    mn = s.dim_a * s.dim_b
-    return BipartiteState(s.dim_b, s.dim_a, np.ascontiguousarray(r).reshape(mn, mn),
-                          normalized=s.normalized)
+    return _similar(s, s.dim_b, s.dim_a, np.ascontiguousarray(r).reshape(s.rho.shape), s.normalized)
 
 
 def canonicalize(dec: Decomposition) -> Decomposition:

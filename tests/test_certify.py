@@ -549,37 +549,42 @@ class TestPipelineEdges:
         ("npt", 1),
         ("spectral_ball", 1),
         ("rank_n_decomposition", 2),
-        ("eligible_vectors", 4),
+        ("rank_n_swapped", 2),
+        ("eligible_vectors", 3),
     ])
     def test_verdict_decomposes_each_operator_once(self, monkeypatch, family, expected):
         # svd, eigh and eigvalsh calls on MN x MN matrices inside the
         # pipeline.  The state's own spectrum comes from its constructor and
         # the pipeline's one eigh of rho^T_A answers the NPT test and
         # rank_ta, so an NPT or spectral-ball verdict needs nothing else.  A
-        # rank-N verdict adds the decomposition's PPT gate; an eligible one
-        # adds the local filter's state and the two kernel bases.
-        def planted(k, seed):
-            return random_separable(GeneratorSpec(dims=(3, 3), term_count=k, seed=seed))[0]
+        # rank-N verdict adds the decomposition's PPT gate, also when it
+        # swaps the parties (M > N): the swapped state keeps the spectrum.
+        # An eligible one adds the two kernel bases; the Haar-rotated state
+        # keeps the spectrum too.
+        def planted(dims, k, seed):
+            return random_separable(GeneratorSpec(dims=dims, term_count=k, seed=seed))[0]
 
         st, seed = {
             "npt": (random_ppt(GeneratorSpec((3, 3), family="ppt-random", p=0.0, seed=3)), 3),
             "spectral_ball": (isotropic_family(3, 0.1), 0),
-            "rank_n_decomposition": (planted(3, 5), 5),
-            "eligible_vectors": (planted(5, 12), 12),
+            "rank_n_decomposition": (planted((3, 3), 3, 5), 5),
+            "rank_n_swapped": (planted((3, 2), 3, 3), 3),
+            "eligible_vectors": (planted((3, 3), 5, 12), 12),
         }[family]
+        mn = st.dim_a * st.dim_b
         calls = []
         for name in ("svd", "eigh", "eigvalsh"):
             original = getattr(np.linalg, name)
 
             def counting(a, *args, _name=name, _original=original, **kwargs):
-                if np.shape(a) == (9, 9):
+                if np.shape(a) == (mn, mn):
                     calls.append(_name)
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counting)
         verdict = separability_check(st, seed=seed)
         monkeypatch.undo()
-        assert verdict.diagnostics["method"] == family
+        assert verdict.diagnostics["method"] == family.replace("_swapped", "_decomposition")
         assert verdict.status == ("Entangled" if family == "npt" else "Separable")
         assert len(calls) == expected, calls
 

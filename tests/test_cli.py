@@ -362,8 +362,9 @@ class TestDecompositionDocument:
 
 class TestStartUp:
     # Runs ``python -m sepcheck.cli <args>`` (or only ``import sepcheck.cli``
-    # when there are no args) and reports whether scipy.optimize and the path
-    # tracker were loaded by the time the command finished.
+    # when there are no args) and reports whether scipy.optimize, the path
+    # tracker, the pipeline and the eligible search were loaded by the time
+    # the command finished.
     PROBE = (
         "import json, runpy, sys\n"
         "code = 0\n"
@@ -374,8 +375,8 @@ class TestStartUp:
         "        code = exc.code\n"
         "else:\n"
         "    import sepcheck.cli\n"
-        "print(json.dumps([code, 'scipy.optimize' in sys.modules,\n"
-        "                  'sepcheck.homotopy' in sys.modules]))\n"
+        "print(json.dumps([code] + [name in sys.modules for name in (\n"
+        "    'scipy.optimize', 'sepcheck.homotopy', 'sepcheck.certify', 'sepcheck.vectors')]))\n"
     )
 
     def _probe(self, args):
@@ -404,7 +405,13 @@ class TestStartUp:
             (["bsa", str(separable_doc), "--projectors", f"{separable_doc}.decomp.json"], 0),
         ]
         for args, code in commands:
-            assert self._probe(args) == [code, False, False], args
+            assert self._probe(args)[:3] == [code, False, False], args
+
+    def test_inspect_and_ppt_do_not_load_the_solver(self, separable_doc):
+        # both read one spectrum of rho^T_A and the state report; neither
+        # needs the pipeline or the eligible search
+        for args in ([], ["inspect", str(separable_doc)], ["ppt", str(separable_doc)]):
+            assert self._probe(args) == [0, False, False, False, False], args
 
     def test_lazy_optimizers_match_scipy(self):
         import scipy.optimize

@@ -94,3 +94,17 @@ def test_no_rank_of_rho_is_measured_twice():
                     isinstance(a, ast.Attribute) and a.attr == "rho" for a in args):
                 calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
+
+
+def test_cli_imports_no_private_name():
+    # the front end reads the library through its public names only, so a
+    # private helper can change without breaking a command
+    path = Path(sepcheck.__file__).parent / "cli.py"
+    private = [
+        f"{node.module}.{alias.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("sepcheck"))
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert private == []

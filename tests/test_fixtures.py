@@ -14,7 +14,7 @@ from sepcheck.fixtures import (
     werner_family,
 )
 from sepcheck.numlin import numerical_rank
-from sepcheck.state import is_ppt, partial_transpose, reconstruction
+from sepcheck.state import BipartiteState, is_ppt, partial_transpose, reconstruction
 
 
 class TestRandomSeparable:
@@ -129,6 +129,46 @@ class TestOtherFamilies:
         b = random_ppt(spec)
         assert is_ppt(a)
         assert np.array_equal(a.rho, b.rho)
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 3), (2, 4)])
+    def test_random_ppt_admixture_is_the_closed_form(self, monkeypatch, dims):
+        # mixing in I/MN with weight t maps each eigenvalue l of W^T_A to
+        # (1 - t) l + t/MN, so the admixture is solved for, not bisected
+        m, n = dims
+        mn = m * n
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            g = rng.normal(size=(mn, mn)) + 1j * rng.normal(size=(mn, mn))
+            w = g @ g.conj().T
+            w /= np.trace(w).real
+            lam = np.linalg.eigvalsh(partial_transpose(BipartiteState(m, n, w)))[0]
+
+            calls = []
+            for name in ("svd", "eigh", "eigvalsh"):
+                original = getattr(np.linalg, name)
+
+                def counting(a, *args, _name=name, _original=original, **kwargs):
+                    if np.shape(a) == (mn, mn):
+                        calls.append(_name)
+                    return _original(a, *args, **kwargs)
+
+                monkeypatch.setattr(np.linalg, name, counting)
+            spec = GeneratorSpec(dims=dims, family="ppt-random", seed=seed)
+            st = random_ppt(spec)
+            monkeypatch.undo()
+            assert len(calls) <= 2
+            assert np.array_equal(st.rho, random_ppt(spec).rho)
+
+            # the output lies on the segment from W to I/MN, at weight t
+            d = np.eye(mn) / mn - w
+            t = np.vdot(d, st.rho - w).real / np.vdot(d, d).real
+            assert np.linalg.norm(st.rho - (w + t * d)) < 1e-12
+            # t* = l / (l - 1/MN) plus the 0.01 margin, or none for a PPT draw
+            expected = 0.0 if lam >= 0.0 else min(1.0, lam / (lam - 1.0 / mn) + 0.01)
+            assert t == pytest.approx(expected, abs=1e-12)
+            wmin = np.linalg.eigvalsh(partial_transpose(st))[0]
+            assert wmin == pytest.approx((1.0 - t) * lam + t / mn, abs=1e-12)
+            assert wmin >= 0.0
 
     def test_generate_dispatch(self):
         st, planted = generate(GeneratorSpec(dims=(3, 3), family="tiles-upb"))

@@ -214,6 +214,47 @@ class TestLocalFilter:
         # conjugating Bob by V maps the (1,1) block to V E V
         assert np.allclose(block(out, 1, 1), np.eye(2), atol=1e-10)
 
+    @staticmethod
+    def _count_eigvalsh(monkeypatch):
+        calls = []
+        original = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        return calls
+
+    def test_haar_rotation_keeps_the_spectrum(self, monkeypatch, rng):
+        # the eligible search's rotation: a unitary filter is a similarity,
+        # so the output keeps the input's spectrum without decomposing again
+        for dims, k, seed in [((2, 3), 4, 8), ((3, 3), 5, 12), ((3, 4), 6, 2)]:
+            st, _ = random_separable(GeneratorSpec(dims=dims, term_count=k, seed=seed))
+            q = haar_unitary(dims[0], rng)
+            calls = self._count_eigvalsh(monkeypatch)
+            out = local_filter(st, "A", q.conj().T)
+            monkeypatch.undo()
+            assert calls == []
+            assert out.eigenvalues is st.eigenvalues
+            err = np.max(np.abs(out.eigenvalues - np.linalg.eigvalsh(out.rho)))
+            assert err <= 1e-12 * np.linalg.norm(st.rho)
+            assert np.array_equal(out.rho, out.rho.conj().T)
+
+    def test_non_unitary_filter_is_validated(self, monkeypatch, rng):
+        # a scaled or slightly perturbed unitary is no similarity: the output
+        # runs its own PSD check and gets its own spectrum
+        st, _ = random_separable(GeneratorSpec(dims=(2, 3), term_count=4, seed=8))
+        u = haar_unitary(3, rng)
+        for v in (2.0 * u, u * (1.0 + 1e-10)):
+            calls = self._count_eigvalsh(monkeypatch)
+            out = local_filter(st, "B", v)
+            monkeypatch.undo()
+            assert calls == [(6, 6)]
+            assert np.array_equal(out.eigenvalues, np.linalg.eigvalsh(out.rho))
+        assert np.allclose(local_filter(st, "B", 2.0 * u).eigenvalues, 4.0 * st.eigenvalues,
+                           atol=1e-12)
+
     def test_invertible_filter_preserves_ranks(self, rng):
         st, _ = random_separable(GeneratorSpec(dims=(2, 3), term_count=4, seed=11))
         v = haar_unitary(3, rng) @ np.diag([1.0, 2.0, 0.5]).astype(complex)
@@ -257,6 +298,18 @@ class TestSwapAndCanonicalize:
         st, _ = random_separable(GeneratorSpec(dims=(2, 4), term_count=5, seed=3))
         back = swap_parties(swap_parties(st))
         assert np.allclose(back.rho, st.rho)
+        assert np.array_equal(back.eigenvalues, st.eigenvalues)
+
+    def test_swapped_state_keeps_the_spectrum(self):
+        # a permutation similarity: the swapped state reads the input's
+        # eigenvalues, which match its own matrix's
+        for dims, k, seed in [((2, 4), 5, 3), ((3, 2), 3, 3), ((4, 3), 4, 3)]:
+            st, _ = random_separable(GeneratorSpec(dims=dims, term_count=k, seed=seed))
+            out = swap_parties(st)
+            assert (out.dim_a, out.dim_b, out.normalized) == (dims[1], dims[0], st.normalized)
+            err = np.max(np.abs(out.eigenvalues - np.linalg.eigvalsh(out.rho)))
+            assert err <= 1e-12 * np.linalg.norm(st.rho)
+            assert not out.eigenvalues.flags.writeable and not out.rho.flags.writeable
 
     def test_canonicalize_sorts_and_pins_phases(self, rng):
         pv1 = ProductVector(1j * haar_vector(2, rng), haar_vector(2, rng))
