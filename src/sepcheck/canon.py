@@ -169,19 +169,19 @@ def decompose_rank_n(
 ) -> Decomposition:
     """Exact N-term product decomposition of a rank-N PPT state.
 
-    One pass in one frame: compress, put Alice on the smaller side, check
-    PPT and that the rank, read from the state's spectrum, equals Bob's
-    dimension N, build the terms (one eigh when M = 1, else a full-rank
-    direction, the canonical form and its joint eigenbasis), swap back, and
-    lift once: :func:`lift_decomposition` checks the terms against ``s``
-    itself within ``residual_abs * max(1, ||rho||_F)``.  Raises NotPPT
-    or RankTooLow (entangled), ValueError (rank above N), or
+    One pass in one frame: compress, put Alice on the smaller side (the
+    paper's M <= N), check PPT and that the rank, read from the state's
+    spectrum, equals Bob's dimension N, build the terms (one eigh when
+    M = 1, else a full-rank direction, the canonical form and its joint
+    eigenbasis), and lift once: :func:`lift_decomposition` puts the terms
+    of a swapped frame back in the input's party order and checks them
+    against ``s`` itself within ``residual_abs * max(1, ||rho||_F)``.
+    Raises NotPPT or RankTooLow (entangled), ValueError (rank above N), or
     DecompositionFailed, DirectionNotFound and CanonicalMismatch included.
     """
     rng = np.random.default_rng(seed)
     sc, (va, vb) = support_compress(s, tol)
-    swapped = sc.dim_a > sc.dim_b
-    if swapped:
+    if sc.dim_a > sc.dim_b:
         sc = swap_parties(sc)
     m, n = sc.dim_a, sc.dim_b
     if not is_ppt(sc, tol):
@@ -201,7 +201,4 @@ def decompose_rank_n(
     else:
         cf = to_canonical_form(sc, find_full_rank_direction(sc, tol, rng), tol)
         terms = _terms_from_canonical(cf, n, tol)
-
-    if swapped:
-        terms = [(w, ProductVector(pv.f, pv.e)) for w, pv in terms]
     return lift_decomposition(terms, va, vb, s, tol)

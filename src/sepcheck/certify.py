@@ -25,7 +25,7 @@ from .errors import (
     RankSumTooHigh,
     RankTooLow,
 )
-from .numlin import DEFAULT_TOL, Tolerances, frob, numerical_rank, pseudo_inverse, range_basis
+from .numlin import DEFAULT_TOL, Tolerances, _rank, frob, numerical_rank, pseudo_inverse, range_basis
 from .state import (
     BipartiteState,
     Decomposition,
@@ -36,6 +36,7 @@ from .state import (
     partial_transpose,
     state_report,
     support_compress,
+    swap_parties,
     vector_to_json,
 )
 from .vectors import EligibleSet, enumerate_eligible
@@ -153,19 +154,31 @@ def certify_by_subsets(
 ) -> Verdict:
     """Decide separability over an exhaustive finite set of eligible vectors.
 
-    An empty exhaustive set certifies entanglement outright.  Otherwise one
-    nonnegative least-squares solve over all candidate projectors weighs
-    them; its residual is reported as ``nnls_residual``.  Lawson-Hanson keeps
-    the positive weights on linearly independent projectors (see
-    :func:`nnls`), which bounds the certificate by min(r^2, r_ta^2) terms,
-    and the certificate must pass :func:`lift_decomposition`'s residual
-    check.  One that fails is inconclusive, never entangled, since the set
-    may miss a vector although it claims to be exhaustive; the check's
-    message goes to ``eligible_error``.
+    An empty exhaustive set certifies entanglement when the spectral gap,
+    the smallest eigenvalue modulus that the rank rule keeps over the
+    largest, is at least ``rank_rel / root_abs`` for both the state and its
+    partial transpose; below that the kernels are not resolved to
+    ``root_abs``, and the verdict is inconclusive with the gap in
+    ``eligible_error``.  Otherwise one nonnegative least-squares solve over
+    all candidate projectors weighs them; its residual is reported as
+    ``nnls_residual``.  Lawson-Hanson keeps the positive weights on
+    linearly independent projectors (see :func:`nnls`), which bounds the
+    certificate by min(r^2, r_ta^2) terms, and the certificate must pass
+    :func:`lift_decomposition`'s residual check.  One that fails is
+    inconclusive, never entangled, since the set may miss a vector although
+    it claims to be exhaustive; the check's message goes to
+    ``eligible_error``.
     """
     eye = (np.eye(s.dim_a, dtype=complex), np.eye(s.dim_b, dtype=complex))
-    diag = state_report(s, np.linalg.eigvalsh(partial_transpose(s)), tol)
-    return _certify_eligible(s, s, eye, es, tol, diag)
+    pt_eigenvalues = np.linalg.eigvalsh(partial_transpose(s))
+    diag = state_report(s, pt_eigenvalues, tol)
+    return _certify_eligible(s, s, eye, es, pt_eigenvalues, tol, diag)
+
+
+def _kept_ratio(eigenvalues: np.ndarray, tol: Tolerances) -> float:
+    """Smallest |eigenvalue| that ``numlin._rank`` counts, over the largest."""
+    mod = np.sort(np.abs(eigenvalues))
+    return float(mod[-_rank(mod, tol)] / mod[-1])
 
 
 def _certify_eligible(
@@ -173,16 +186,27 @@ def _certify_eligible(
     sc: BipartiteState,
     isometries: tuple[np.ndarray, np.ndarray],
     es: EligibleSet,
+    pt_eigenvalues: np.ndarray,
     tol: Tolerances,
     diag: dict,
 ) -> Verdict:
-    # certify_by_subsets on the compression sc of s, with sc's report
-    # already measured; the certificate is lifted to s and checked there
+    # certify_by_subsets on the compression sc of s (or its party swap),
+    # with sc's report and the spectrum of its partial transpose already
+    # measured; the certificate is lifted to s and checked there
     diag = dict(diag)
     if len(es.vectors) == 0:
-        if es.exhaustive:
-            return Verdict(ENTANGLED, "NoEligibleVectors", None, diag)
-        return Verdict(INCONCLUSIVE, "NonGeneric", None, diag)
+        if not es.exhaustive:
+            return Verdict(INCONCLUSIVE, "NonGeneric", None, diag)
+        # Davis-Kahan: the kernels are known to rank_rel over the gap, and
+        # candidates are accepted at root_abs
+        gap = min(_kept_ratio(sc.eigenvalues, tol), _kept_ratio(pt_eigenvalues, tol))
+        bound = tol.rank_rel / tol.root_abs
+        if gap < bound:
+            diag["eligible_error"] = (
+                f"spectral gap {gap:.3e} below rank_rel / root_abs = {bound:.3e}: the "
+                "kernels are not resolved to root_abs, so an empty set rules out nothing")
+            return Verdict(INCONCLUSIVE, "BudgetExhausted", None, diag)
+        return Verdict(ENTANGLED, "NoEligibleVectors", None, diag)
 
     projs = list(es.vectors)
     feats = np.column_stack([_features(pv.projector()) for pv in projs])
@@ -360,6 +384,12 @@ def separability_check(
     with NNLS certification when the rank-sum window applies; otherwise
     inconclusive.  ``diagnostics["method"]`` names the deciding stage.
 
+    Every stage runs with Alice on the smaller compressed side (the paper's
+    M <= N): ``decompose_rank_n`` orients its input, and the compressed
+    state is swapped before the eligible search.  The NPT witness, the
+    report and ``compressed_dims`` stay in the input's party order, and
+    ``lift_decomposition`` returns every certificate in it.
+
     When both kernels give a block system, the first system's vectors are
     certified as soon as they are found, and a ``Separable`` verdict ends
     the search there.  Any other outcome is decided on the union with the
@@ -409,12 +439,16 @@ def separability_check(
     rank_sum = r + diag["rank_ta"]
     if rank_sum <= 2 * m * n - m - n + 2:
         diag["method"] = "eligible_vectors"
+        # the paper's search takes M <= N; swap_parties keeps the spectrum,
+        # and lift_decomposition puts the certificate back in party order
+        if m > n:
+            sc = swap_parties(sc)
         verdicts: list[Verdict] = []
 
         def certify(es: EligibleSet) -> Verdict:
             # diagnostics describe the set that decides, never an earlier one
             found = {"eligible_count": len(es.vectors), "eligible_exhaustive": es.exhaustive}
-            verdicts.append(_certify_eligible(s, sc, (va, vb), es, tol, diag | found))
+            verdicts.append(_certify_eligible(s, sc, (va, vb), es, w, tol, diag | found))
             return verdicts[-1]
 
         try:

@@ -266,12 +266,17 @@ def lift_decomposition(terms, va: np.ndarray, vb: np.ndarray, s: BipartiteState,
                        tol: Tolerances = DEFAULT_TOL) -> Decomposition:
     """Carry terms on a compressed space back through its isometries (Va, Vb).
 
-    The result is canonicalized and its residual is measured against ``s``,
-    the state that :func:`support_compress` compressed.  This is the one
-    acceptance check of a certificate: no terms, or a residual above
-    ``residual_abs * max(1, ||rho||_F)``, raise DecompositionFailed.
+    A frame is swapped only when Alice's compressed side is the larger
+    one, so a term whose first factor lacks Alice's compressed width comes
+    from :func:`swap_parties`, and this, the one inverse, puts it back in
+    the input's party order.  The result is canonicalized and its residual
+    is measured against ``s``, the state that :func:`support_compress`
+    compressed.  This is the one acceptance check of a certificate: no
+    terms, or a residual above ``residual_abs * max(1, ||rho||_F)``, raise
+    DecompositionFailed.
     """
-    lifted = [(w, ProductVector(va @ pv.e, vb @ pv.f)) for w, pv in terms]
+    lifted = [(w, ProductVector(va @ pv.e, vb @ pv.f) if len(pv.e) == va.shape[1]
+               else ProductVector(va @ pv.f, vb @ pv.e)) for w, pv in terms]
     if not lifted:
         raise DecompositionFailed("a certificate needs at least one term")
     residual = frob(s.rho - reconstruction(lifted, s.dim_a, s.dim_b))

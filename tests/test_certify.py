@@ -37,6 +37,8 @@ from sepcheck.state import (
     ProductVector,
     partial_transpose,
     reconstruction,
+    support_compress,
+    swap_parties,
 )
 from sepcheck.vectors import EligibleSet, enumerate_eligible
 
@@ -128,6 +130,15 @@ class TestCertifyBySubsets:
         verdict = certify_by_subsets(st, es)
         assert verdict.status == "Entangled"
         assert verdict.reason == "NoEligibleVectors"
+
+    def test_empty_exhaustive_set_on_an_unresolved_spectrum_is_inconclusive(self):
+        # the smallest kept eigenvalue is 2.5e-5 of the largest, under
+        # rank_rel / root_abs, so the empty set rules out no vector
+        st = support_compress(near_product_mixture((3, 3), 4, 1))[0]
+        es = EligibleSet((), exhaustive=True, degree_bound=0)
+        verdict = certify_by_subsets(st, es)
+        assert (verdict.status, verdict.reason) == ("Inconclusive", "BudgetExhausted")
+        assert verdict.diagnostics["eligible_error"].startswith("spectral gap 2.501e-05")
 
     def test_empty_non_exhaustive_set_is_inconclusive(self):
         st = tiles_upb_state()
@@ -474,6 +485,21 @@ class TestPipelineEdges:
             residual = frob(st.rho - reconstruction(verdict.certificate.terms, 3, 3))
             assert residual <= DEFAULT_TOL.residual_abs * max(1.0, frob(st.rho))
 
+    def test_empty_set_on_an_unresolved_spectrum_is_inconclusive(self):
+        # a separable near-product mixture whose smallest kept eigenvalue is
+        # 2.5e-5 of the largest: the kernels are known only to rank_rel over
+        # that gap, coarser than root_abs, so the empty exhaustive set it
+        # gets rules out nothing (it used to answer Entangled here)
+        st = near_product_mixture((3, 3), 4, 1)
+        for seed in range(3):
+            verdict = separability_check(st, seed=seed)
+            assert verdict.diagnostics["method"] == "eligible_vectors"
+            assert (verdict.diagnostics["eligible_count"],
+                    verdict.diagnostics["eligible_exhaustive"]) == (0, True)
+            assert (verdict.status, verdict.reason) == ("Inconclusive", "BudgetExhausted")
+            assert verdict.diagnostics["eligible_error"].startswith(
+                "spectral gap 2.501e-05 below rank_rel / root_abs = 1.000e-03")
+
     def test_near_product_sweep_on_the_tracked_family(self):
         # 2x4 with five terms: the eligible search path-tracks the coupled
         # system, so a lost path could turn a separable input Entangled
@@ -551,6 +577,7 @@ class TestPipelineEdges:
         ("rank_n_decomposition", 2),
         ("rank_n_swapped", 2),
         ("eligible_vectors", 3),
+        ("eligible_swapped", 3),
     ])
     def test_verdict_decomposes_each_operator_once(self, monkeypatch, family, expected):
         # svd, eigh and eigvalsh calls on MN x MN matrices inside the
@@ -560,7 +587,8 @@ class TestPipelineEdges:
         # rank-N verdict adds the decomposition's PPT gate, also when it
         # swaps the parties (M > N): the swapped state keeps the spectrum.
         # An eligible one adds the two kernel bases; the Haar-rotated state
-        # keeps the spectrum too.
+        # keeps the spectrum too, and so does the party swap that puts
+        # Alice on the smaller side before the search.
         def planted(dims, k, seed):
             return random_separable(GeneratorSpec(dims=dims, term_count=k, seed=seed))[0]
 
@@ -570,6 +598,7 @@ class TestPipelineEdges:
             "rank_n_decomposition": (planted((3, 3), 3, 5), 5),
             "rank_n_swapped": (planted((3, 2), 3, 3), 3),
             "eligible_vectors": (planted((3, 3), 5, 12), 12),
+            "eligible_swapped": (swap_parties(planted((2, 4), 5, 12)), 12),
         }[family]
         mn = st.dim_a * st.dim_b
         calls = []
@@ -584,7 +613,9 @@ class TestPipelineEdges:
             monkeypatch.setattr(np.linalg, name, counting)
         verdict = separability_check(st, seed=seed)
         monkeypatch.undo()
-        assert verdict.diagnostics["method"] == family.replace("_swapped", "_decomposition")
+        method = {"rank_n_swapped": "rank_n_decomposition",
+                  "eligible_swapped": "eligible_vectors"}.get(family, family)
+        assert verdict.diagnostics["method"] == method
         assert verdict.status == ("Entangled" if family == "npt" else "Separable")
         assert len(calls) == expected, calls
 

@@ -108,3 +108,19 @@ def test_cli_imports_no_private_name():
         for alias in node.names if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_only_the_lift_swaps_terms_back():
+    # a frame is swapped so that Alice sits on the smaller side, and
+    # state.lift_decomposition is the one place that puts a term back in
+    # the input's party order: no other module builds ProductVector(x.f, x.e)
+    swaps = []
+    for path in sorted(Path(sepcheck.__file__).parent.glob("*.py")):
+        if path.name == "state.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ProductVector"
+                    and [getattr(a, "attr", None) for a in node.args[:2]] == ["f", "e"]):
+                swaps.append(f"{path.name}:{node.lineno}")
+    assert swaps == []

@@ -12,6 +12,7 @@ from sepcheck.state import (
     block,
     canonicalize,
     is_ppt,
+    lift_decomposition,
     local_filter,
     partial_transpose,
     reduced_a,
@@ -310,6 +311,29 @@ class TestSwapAndCanonicalize:
             err = np.max(np.abs(out.eigenvalues - np.linalg.eigvalsh(out.rho)))
             assert err <= 1e-12 * np.linalg.norm(st.rho)
             assert not out.eigenvalues.flags.writeable and not out.rho.flags.writeable
+
+    def test_lift_restores_the_party_order_of_swapped_terms(self):
+        # a 3x2 state embedded in 4x3 compresses to 3x2, Alice on the larger
+        # side, so its terms are built in the swapped 2x3 frame; the lift
+        # recognises them by their first factor's width and puts them back
+        rng = np.random.default_rng(8)
+        sub, dec = random_separable(GeneratorSpec(dims=(3, 2), term_count=4, seed=8))
+        ua = np.linalg.qr(rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3)))[0]
+        ub = np.linalg.qr(rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))[0]
+        w = np.kron(ua, ub)
+        st = BipartiteState(4, 3, w @ sub.rho @ w.conj().T, normalized=True)
+        out, (va, vb) = support_compress(st)
+        assert (out.dim_a, out.dim_b) == (3, 2)
+        compressed = [(wt, va.conj().T @ ua @ pv.e, vb.conj().T @ ub @ pv.f)
+                      for wt, pv in dec.terms]
+        swapped = [(wt, ProductVector(f, e)) for wt, e, f in compressed]
+        lifted = lift_decomposition(swapped, va, vb, st)
+        assert [(len(pv.e), len(pv.f)) for _, pv in lifted.terms] == [(4, 3)] * 4
+        assert lifted.residual <= 1e-14
+        direct = lift_decomposition([(wt, ProductVector(e, f)) for wt, e, f in compressed],
+                                    va, vb, st)
+        for (w1, pv1), (w2, pv2) in zip(lifted.terms, direct.terms):
+            assert w1 == w2 and np.array_equal(pv1.e, pv2.e) and np.array_equal(pv1.f, pv2.f)
 
     def test_canonicalize_sorts_and_pins_phases(self, rng):
         pv1 = ProductVector(1j * haar_vector(2, rng), haar_vector(2, rng))
