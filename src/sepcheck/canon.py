@@ -43,8 +43,7 @@ from .state import (
     ProductVector,
     is_ppt,
     lift_decomposition,
-    support_compress,
-    swap_parties,
+    search_frame,
 )
 
 # No canon code calls reduce.  The import keeps sepcheck.reduce loaded
@@ -169,20 +168,19 @@ def decompose_rank_n(
 ) -> Decomposition:
     """Exact N-term product decomposition of a rank-N PPT state.
 
-    One pass in one frame: compress, put Alice on the smaller side (the
-    paper's M <= N), check PPT and that the rank, read from the state's
-    spectrum, equals Bob's dimension N, build the terms (one eigh when
-    M = 1, else a full-rank direction, the canonical form and its joint
-    eigenbasis), and lift once: :func:`lift_decomposition` puts the terms
-    of a swapped frame back in the input's party order and checks them
-    against ``s`` itself within ``residual_abs * max(1, ||rho||_F)``.
+    One pass in one frame, the :func:`search_frame` of ``s`` (compressed,
+    Alice on the smaller side: the paper's M <= N): check PPT and that the
+    rank, read from the state's spectrum, equals Bob's dimension N, build
+    the terms (one eigh when M = 1, else a full-rank direction, the
+    canonical form and its joint eigenbasis), and lift once:
+    :func:`lift_decomposition` puts the terms back in the input's party
+    order and space and checks them against ``s`` itself within
+    ``residual_abs * max(1, ||rho||_F)``.
     Raises NotPPT or RankTooLow (entangled), ValueError (rank above N), or
     DecompositionFailed, DirectionNotFound and CanonicalMismatch included.
     """
     rng = np.random.default_rng(seed)
-    sc, (va, vb) = support_compress(s, tol)
-    if sc.dim_a > sc.dim_b:
-        sc = swap_parties(sc)
+    sc, (va, vb) = search_frame(s, tol)
     m, n = sc.dim_a, sc.dim_b
     if not is_ppt(sc, tol):
         raise NotPPT("the state has a negative partial transpose")

@@ -36,7 +36,6 @@ from .state import (
     partial_transpose,
     state_report,
     support_compress,
-    swap_parties,
     vector_to_json,
 )
 from .vectors import EligibleSet, enumerate_eligible
@@ -190,9 +189,9 @@ def _certify_eligible(
     tol: Tolerances,
     diag: dict,
 ) -> Verdict:
-    # certify_by_subsets on the compression sc of s (or its party swap),
-    # with sc's report and the spectrum of its partial transpose already
-    # measured; the certificate is lifted to s and checked there
+    # certify_by_subsets on the compression sc of s, with sc's report and
+    # the spectrum of its partial transpose already measured; the
+    # certificate is lifted to s and checked there
     diag = dict(diag)
     if len(es.vectors) == 0:
         if not es.exhaustive:
@@ -383,12 +382,8 @@ def separability_check(
     condition; the exact rank-N decomposition; the eligible-vector search
     with NNLS certification when the rank-sum window applies; otherwise
     inconclusive.  ``diagnostics["method"]`` names the deciding stage.
-
-    Every stage runs with Alice on the smaller compressed side (the paper's
-    M <= N): ``decompose_rank_n`` orients its input, and the compressed
-    state is swapped before the eligible search.  The NPT witness, the
-    report and ``compressed_dims`` stay in the input's party order, and
-    ``lift_decomposition`` returns every certificate in it.
+    The rank-N and eligible stages each run in their own ``search_frame``
+    and answer in the input's party order, as every verdict does.
 
     When both kernels give a block system, the first system's vectors are
     certified as soon as they are found, and a ``Separable`` verdict ends
@@ -439,10 +434,6 @@ def separability_check(
     rank_sum = r + diag["rank_ta"]
     if rank_sum <= 2 * m * n - m - n + 2:
         diag["method"] = "eligible_vectors"
-        # the paper's search takes M <= N; swap_parties keeps the spectrum,
-        # and lift_decomposition puts the certificate back in party order
-        if m > n:
-            sc = swap_parties(sc)
         verdicts: list[Verdict] = []
 
         def certify(es: EligibleSet) -> Verdict:

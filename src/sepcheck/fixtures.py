@@ -38,6 +38,9 @@ FAMILIES = (
     "maximally-mixed",
 )
 
+# Draws random_separable makes before it gives up on ``target_ranks``.
+MAX_RETRIES = 200
+
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -83,18 +86,19 @@ def _assemble(terms, dim_a, dim_b, normalized=True) -> tuple[BipartiteState, Dec
     return state, Decomposition(tuple(terms), 0.0)  # exact by construction
 
 
-def random_separable(spec: GeneratorSpec, tol: Tolerances = DEFAULT_TOL,
-                     max_retries: int = 200) -> tuple[BipartiteState, Decomposition]:
+def random_separable(
+    spec: GeneratorSpec, tol: Tolerances = DEFAULT_TOL
+) -> tuple[BipartiteState, Decomposition]:
     """Mixture of Haar-random product projectors with Dirichlet weights.
 
     Returns the state together with its planted decomposition.  When
-    ``target_ranks`` is set, draws are rejected until the ranks match or the
-    retry budget runs out.
+    ``target_ranks`` is set, draws are rejected until the ranks match, for
+    at most MAX_RETRIES draws.
     """
     m, n = spec.dims
     k = spec.term_count if spec.term_count is not None else m * n
     rng = np.random.default_rng(spec.seed)
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         weights = rng.dirichlet(np.ones(k))
         terms = [
             (float(w), ProductVector(haar_vector(m, rng), haar_vector(n, rng)))
@@ -107,7 +111,7 @@ def random_separable(spec: GeneratorSpec, tol: Tolerances = DEFAULT_TOL,
         if _rank(np.abs(state.eigenvalues), tol) == r_target and (
                 rt_target is None or numerical_rank(partial_transpose(state), tol) == rt_target):
             return state, dec
-    raise ValueError(f"could not hit target ranks {spec.target_ranks} in {max_retries} draws")
+    raise ValueError(f"could not hit target ranks {spec.target_ranks} in {MAX_RETRIES} draws")
 
 
 def random_separable_rank_deficient(

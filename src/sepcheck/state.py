@@ -28,6 +28,8 @@ __all__ = [
     "reduced_b",
     "local_filter",
     "support_compress",
+    "search_frame",
+    "lift_vector",
     "lift_decomposition",
     "swap_parties",
     "reconstruction",
@@ -262,21 +264,48 @@ def support_compress(
     return out, (va, vb)
 
 
-def lift_decomposition(terms, va: np.ndarray, vb: np.ndarray, s: BipartiteState,
-                       tol: Tolerances = DEFAULT_TOL) -> Decomposition:
-    """Carry terms on a compressed space back through its isometries (Va, Vb).
+def search_frame(
+    s: BipartiteState, tol: Tolerances = DEFAULT_TOL
+) -> tuple[BipartiteState, tuple[np.ndarray, np.ndarray]]:
+    """The frame in which the paper's constructions run: the supported
+    M x N space with M <= N.
+
+    :func:`support_compress` restricts ``s`` to its supported space, and
+    :func:`swap_parties` exchanges the parties when Alice's compressed side
+    is the larger one.  Returns that state with the isometries (Va, Vb) of
+    the compression; :func:`lift_vector` carries a vector of the frame back
+    to the party order and space of ``s``.
+    """
+    sc, isometries = support_compress(s, tol)
+    if sc.dim_a > sc.dim_b:
+        sc = swap_parties(sc)
+    return sc, isometries
+
+
+def lift_vector(pv: ProductVector, va: np.ndarray, vb: np.ndarray) -> ProductVector:
+    """Carry a product vector of a :func:`search_frame` back through (Va, Vb).
 
     A frame is swapped only when Alice's compressed side is the larger
-    one, so a term whose first factor lacks Alice's compressed width comes
-    from :func:`swap_parties`, and this, the one inverse, puts it back in
-    the input's party order.  The result is canonicalized and its residual
-    is measured against ``s``, the state that :func:`support_compress`
-    compressed.  This is the one acceptance check of a certificate: no
-    terms, or a residual above ``residual_abs * max(1, ||rho||_F)``, raise
-    DecompositionFailed.
+    one, so a vector whose first factor lacks Alice's compressed width
+    comes from a swapped frame, and this, the one inverse of
+    :func:`swap_parties`, puts its factors back in the input's party order.
     """
-    lifted = [(w, ProductVector(va @ pv.e, vb @ pv.f) if len(pv.e) == va.shape[1]
-               else ProductVector(va @ pv.f, vb @ pv.e)) for w, pv in terms]
+    if len(pv.e) == va.shape[1]:
+        return ProductVector(va @ pv.e, vb @ pv.f)
+    return ProductVector(va @ pv.f, vb @ pv.e)
+
+
+def lift_decomposition(terms, va: np.ndarray, vb: np.ndarray, s: BipartiteState,
+                       tol: Tolerances = DEFAULT_TOL) -> Decomposition:
+    """Carry terms on the compressed space of ``s``, in either party order,
+    back to ``s``.
+
+    Each term goes through :func:`lift_vector`.  The result is
+    canonicalized and its residual is measured against ``s`` itself.  This
+    is the one acceptance check of a certificate: no terms, or a residual
+    above ``residual_abs * max(1, ||rho||_F)``, raise DecompositionFailed.
+    """
+    lifted = [(w, lift_vector(pv, va, vb)) for w, pv in terms]
     if not lifted:
         raise DecompositionFailed("a certificate needs at least one term")
     residual = frob(s.rho - reconstruction(lifted, s.dim_a, s.dim_b))

@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateRowChoice, NonGeneric, RankSumTooHigh
-from .numlin import DEFAULT_TOL, Tolerances, kernel_basis, range_basis
-from .state import BipartiteState, ProductVector, local_filter, partial_transpose
+from .numlin import DEFAULT_TOL, Tolerances, kernel_basis
+from .state import BipartiteState, ProductVector, lift_vector, local_filter, partial_transpose, search_frame
 
 __all__ = [
     "KernelData",
@@ -859,8 +859,9 @@ class _Candidates:
     SVD also gives the polish its first Bob part.
     """
 
-    def __init__(self, kd: KernelData, tol: Tolerances):
-        self.kd, self.tol = kd, tol
+    def __init__(self, kd: KernelData, tol: Tolerances, q: np.ndarray,
+                 isometries: tuple[np.ndarray, np.ndarray]):
+        self.kd, self.tol, self.q, self.isometries = kd, tol, q, isometries
         self.starts: list[np.ndarray] = []
         self.accepted: list[tuple[float, ProductVector]] = []
 
@@ -879,12 +880,13 @@ class _Candidates:
                 pv, res = hit
                 self.accepted.append((res, pv))
 
-    def eligible(self, q: np.ndarray, exhaustive: bool, degree_bound: int) -> EligibleSet:
+    def eligible(self, exhaustive: bool, degree_bound: int) -> EligibleSet:
         # keep the best-polished representative of each duplicate cluster,
-        # then undo the Alice rotation q
+        # then undo the Alice rotation q and lift out of the search frame
         ranked = sorted(self.accepted, key=lambda t: t[0])
         found = _dedupe([pv for _, pv in ranked], self.tol)
-        restored = tuple(ProductVector(q @ pv.e, pv.f) for pv in found)
+        restored = tuple(lift_vector(ProductVector(self.q @ pv.e, pv.f), *self.isometries)
+                         for pv in found)
         return EligibleSet(restored, exhaustive=exhaustive, degree_bound=degree_bound)
 
 
@@ -905,6 +907,12 @@ def enumerate_eligible(
 ) -> EligibleSet:
     """The finite set of product vectors compatible with both ranges.
 
+    Any state is taken.  The search runs in the :func:`state.search_frame`
+    of ``s``, its supported space with Alice on the smaller side, where the
+    paper states the system; every vector it returns, and every vector it
+    hands to ``stop``, is carried back by :func:`state.lift_vector` to the
+    party order and space of ``s``.
+
     A seeded random Alice rotation first makes every sought vector generic
     in the computational basis (nonzero first coordinate).  Each kernel
     large enough to pin the Alice coordinates on its own provides a
@@ -921,25 +929,32 @@ def enumerate_eligible(
     :func:`_accept_candidate`) and deduplicated up to phase.  All random
     draws come from ``seed``, so reruns are identical.
 
-    ``stop``, when given, sees the first block system's set whenever a
-    second block system is still to be solved; if it returns True that set
-    is returned as is, and the second system is never built.  The random
-    draws are taken in the same order either way, so a search that goes on
-    returns the same union as one without ``stop``.
+    ``stop``, when given, sees the first block system's set, in the frame
+    of ``s``, whenever a second block system is still to be solved; if it
+    returns True that set is returned as is, and the second system is
+    never built.  The random draws are taken in the same order either way,
+    so a search that goes on returns the same union as one without
+    ``stop``.
     """
     rng = np.random.default_rng(seed)
-    m, n = s.dim_a, s.dim_b
+    sf, isometries = search_frame(s, tol)
+    m, n = sf.dim_a, sf.dim_b
 
     if m == 1:
-        return _enumerate_scalar_alice(s, tol)
+        # on a scalar Alice side every range vector is a product vector, so
+        # the set is finite only on a one-dimensional support
+        if n > 1:
+            raise NonGeneric("scalar Alice side with rank > 1 has a continuum of product vectors")
+        one = ProductVector(np.ones(1, dtype=complex), np.ones(1, dtype=complex))
+        return EligibleSet((lift_vector(one, *isometries),), exhaustive=True, degree_bound=1)
 
     from .fixtures import haar_unitary
 
     q = haar_unitary(m, rng)
-    srot = local_filter(s, "A", q.conj().T)
+    srot = local_filter(sf, "A", q.conj().T)
     kd = kernel_data(srot, tol)
     nvars = 2 * (m - 1)
-    candidates = _Candidates(kd, tol)
+    candidates = _Candidates(kd, tol, q, isometries)
 
     # Prefer equations in the alpha coordinates alone: whenever a kernel
     # block has at least N rows its vanishing minors are holomorphic in one
@@ -958,7 +973,7 @@ def enumerate_eligible(
     bounds: list[int] = []
     for which in [w for w, rows in (("k", kd.k), ("kt", kd.kt)) if rows >= n]:
         if completes and stop is not None:
-            first = candidates.eligible(q, completes[0], bounds[0])
+            first = candidates.eligible(completes[0], bounds[0])
             if stop(first):
                 return first
         side = _minor_system(_symbolic_rows(kd, which), n, nvars, rng)
@@ -996,15 +1011,5 @@ def enumerate_eligible(
         assignments, complete = back_substitute(elim, tol)
         degree_bound = elim.degree_bound
         candidates.add(_alphas(assignments, m))
-    return candidates.eligible(q, complete, degree_bound)
+    return candidates.eligible(complete, degree_bound)
 
-
-def _enumerate_scalar_alice(s: BipartiteState, tol: Tolerances) -> EligibleSet:
-    # With a one-dimensional Alice side every range vector is a product
-    # vector; the set is finite only for a rank-one state.
-    pr = range_basis(s.rho, tol)
-    if pr.shape[1] != 1:
-        raise NonGeneric("scalar Alice side with rank > 1 has a continuum of product vectors")
-    f = pr[:, 0]
-    pv = ProductVector(np.ones(1, dtype=complex), f / np.linalg.norm(f))
-    return EligibleSet((pv,), exhaustive=True, degree_bound=1)

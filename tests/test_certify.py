@@ -124,6 +124,15 @@ class TestCertifyBySubsets:
         assert len(terms) == 2
         assert feature_rank(terms) == 2
 
+    def test_enumerated_set_of_a_swapped_state_certifies_it(self):
+        # the eligible search answers in the 4x2 frame of its input, so its
+        # set certifies that input directly
+        st, _ = random_separable(GeneratorSpec(dims=(2, 4), term_count=5, seed=0))
+        swapped = swap_parties(st)
+        verdict = certify_by_subsets(swapped, enumerate_eligible(swapped))
+        assert verdict.status == "Separable"
+        assert verdict.certificate.residual <= DEFAULT_TOL.residual_abs
+
     def test_empty_exhaustive_set_is_entangled(self):
         st = tiles_upb_state()
         es = EligibleSet((), exhaustive=True, degree_bound=0)

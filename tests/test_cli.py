@@ -9,12 +9,13 @@ from conftest import near_product_pure_state, near_product_rank_n_state
 from sepcheck.canon import decompose_rank_n
 from sepcheck.certify import separability_check
 from sepcheck.cli import main
-from sepcheck.fixtures import GeneratorSpec, generate, werner_family
+from sepcheck.fixtures import GeneratorSpec, generate, random_separable, werner_family
 from sepcheck.state import (
     decomposition_from_json,
     load_state,
     partial_transpose,
     state_to_json,
+    swap_parties,
     write_json,
 )
 
@@ -250,6 +251,17 @@ class TestOtherCommands:
         assert code == 0
         assert out["count"] == 0
         assert out["exhaustive"] is True
+
+    def test_eligible_vectors_on_a_swapped_state(self, tmp_path, capsys):
+        # the 4x2 party swap of a planted 2x4 state: the search runs with
+        # Alice on the smaller side and prints the vectors in the 4x2 frame
+        st, _ = random_separable(GeneratorSpec(dims=(2, 4), term_count=5, seed=0))
+        path = tmp_path / "swapped.json"
+        write_json(state_to_json(swap_parties(st)), path)
+        assert main(["eligible-vectors", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["count"], out["exhaustive"]) == (5, True)
+        assert {(len(v["e"]), len(v["f"])) for v in out["vectors"]} == {(4, 2)}
 
     def test_bsa_command(self, separable_doc, capsys):
         sidecar = str(separable_doc) + ".decomp.json"

@@ -110,10 +110,24 @@ def test_cli_imports_no_private_name():
     assert private == []
 
 
+def test_only_state_swaps_the_parties():
+    # state.search_frame is the one place that puts Alice on the smaller
+    # side, so no other module calls swap_parties
+    calls = []
+    for path in sorted(Path(sepcheck.__file__).parent.glob("*.py")):
+        if path.name == "state.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "swap_parties"):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
+
+
 def test_only_the_lift_swaps_terms_back():
     # a frame is swapped so that Alice sits on the smaller side, and
-    # state.lift_decomposition is the one place that puts a term back in
-    # the input's party order: no other module builds ProductVector(x.f, x.e)
+    # state.lift_vector is the one place that puts a vector back in the
+    # input's party order: no other module builds ProductVector(x.f, x.e)
     swaps = []
     for path in sorted(Path(sepcheck.__file__).parent.glob("*.py")):
         if path.name == "state.py":

@@ -56,7 +56,7 @@ class TestRandomSeparable:
     def test_infeasible_target_raises(self):
         spec = GeneratorSpec(dims=(2, 2), term_count=1, target_ranks=(3, None), seed=3)
         with pytest.raises(ValueError):
-            random_separable(spec, max_retries=10)
+            random_separable(spec)
 
 
 class TestRankDeficient:

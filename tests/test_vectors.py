@@ -6,13 +6,20 @@ from sepcheck.certify import separability_check
 from sepcheck.errors import NonGeneric, RankSumTooHigh
 from sepcheck.fixtures import (
     GeneratorSpec,
+    haar_unitary,
     haar_vector,
     random_separable,
     random_separable_rank_deficient,
     tiles_upb_state,
 )
 from sepcheck.numlin import DEFAULT_TOL, numerical_rank, range_basis
-from sepcheck.state import BipartiteState, partial_transpose, support_compress
+from sepcheck.state import (
+    BipartiteState,
+    ProductVector,
+    partial_transpose,
+    support_compress,
+    swap_parties,
+)
 from sepcheck.vectors import (
     POLISH_STEPS,
     KernelData,
@@ -512,6 +519,54 @@ class TestStop:
         seen = []
         es = enumerate_eligible(self.ST, seed=1932334634, stop=lambda es: seen.append(es) or True)
         assert seen == [es]
+
+    def test_stop_sees_the_input_frame(self):
+        # on the 4x3 swap the search runs in the 3x4 frame, and both the set
+        # handed to stop and the union come back with Alice's width 4
+        seen = []
+        es = enumerate_eligible(swap_parties(self.ST), seed=1932334634,
+                                stop=lambda es: seen.append(es) or False)
+        assert len(seen) == 1 and len(seen[0].vectors) == 3
+        assert len(es.vectors) == 6
+        assert {(len(pv.e), len(pv.f)) for pv in seen[0].vectors + es.vectors} == {(4, 3)}
+
+
+def _swapped(dims, k, seed):
+    """A planted state with the parties exchanged, and its planted vectors."""
+    st, dec = random_separable(GeneratorSpec(dims=dims, term_count=k, seed=seed))
+    return swap_parties(st), [ProductVector(pv.f, pv.e) for _, pv in dec.terms]
+
+
+def _padded(dims, k, seed, into):
+    """A planted state carried into the larger space ``into`` by local
+    isometries, and its planted vectors carried along."""
+    st, dec = random_separable(GeneratorSpec(dims=dims, term_count=k, seed=seed))
+    rng = np.random.default_rng(seed)
+    va = haar_unitary(into[0], rng)[:, :dims[0]]
+    vb = haar_unitary(into[1], rng)[:, :dims[1]]
+    w = np.kron(va, vb)
+    padded = BipartiteState(*into, w @ st.rho @ w.conj().T, normalized=True)
+    return padded, [ProductVector(va @ pv.e, vb @ pv.f) for _, pv in dec.terms]
+
+
+class TestInputFrame:
+    # the search runs on the supported space with Alice on the smaller side,
+    # as the paper states it, and answers in the input's own frame; the 3x3
+    # state padded into 3x4 is a control that needs neither step
+    @pytest.mark.parametrize("case", [
+        pytest.param(lambda: _swapped((2, 4), 5, 0), id="swapped-2x4-k5-s0"),
+        pytest.param(lambda: _swapped((2, 4), 5, 1), id="swapped-2x4-k5-s1"),
+        pytest.param(lambda: _swapped((2, 6), 7, 0), id="swapped-2x6-k7-s0"),
+        pytest.param(lambda: _padded((2, 4), 5, 0, (3, 4)), id="2x4-k5-s0-padded-3x4"),
+        pytest.param(lambda: _padded((2, 4), 5, 0, (2, 5)), id="2x4-k5-s0-padded-2x5"),
+        pytest.param(lambda: _padded((3, 3), 4, 0, (3, 4)), id="3x3-k4-s0-padded-3x4"),
+    ])
+    def test_every_planted_vector_in_the_input_frame(self, case):
+        st, planted = case()
+        es = enumerate_eligible(st, seed=0)
+        assert es.exhaustive
+        assert match_planted(es.vectors, planted) == len(planted)
+        assert {(len(pv.e), len(pv.f)) for pv in es.vectors} == {(st.dim_a, st.dim_b)}
 
 
 class TestDegenerateRows:
