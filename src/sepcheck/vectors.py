@@ -4,14 +4,17 @@ A product vector can appear in a separable decomposition only if it lies in
 the range of the state and its Alice-conjugated partner lies in the range of
 the partial transpose.  Both conditions become orthogonality constraints
 against the two kernels, collected in a matrix A(alpha, alpha*) whose rank
-must drop below N.  Two solvers find the Alice parts alpha:
+must drop below N.  Three solvers find the Alice parts alpha:
 
-* Elimination.  Vanishing minors of A give polynomial equations in the
-  Alice coordinates; iterated cross-multiplication reduces them to a single
-  univariate polynomial whose roots are back-substituted.  This solves the
-  single-kernel block systems (a kernel with at least N rows gives minors
-  holomorphic in alpha or in alpha*) and the underdetermined coupled
-  systems.
+* One resultant.  A kernel with at least N rows gives vanishing minors of A
+  holomorphic in alpha (or in alpha*), a block system.  With two unknowns
+  (M = 3) the Sylvester resultant of its two sparsest minors, a polynomial
+  of degree at most N^2 in one coordinate, gives every root, and each
+  root's other coordinate follows from the minors themselves.
+* Elimination.  Iterated cross-multiplication reduces the minors to a
+  single univariate polynomial whose roots are back-substituted.  This
+  solves the block systems in three or more unknowns (M >= 4), the
+  one-unknown ones (M = 2) and the underdetermined coupled systems.
 * Homotopy continuation.  When no block system applies and
   k + k_T >= 2M + N - 3, the bilinear system A(alpha, beta) f = 0 (beta
   standing in for alpha*) is square or overdetermined, M = 2 included.  It
@@ -610,21 +613,18 @@ def _univar_roots(p: MultiPoly, var: int) -> np.ndarray:
     coeffs_by_deg = {}
     for exp, c in p.terms.items():
         coeffs_by_deg[exp[var]] = coeffs_by_deg.get(exp[var], 0.0) + c
-    deg = max(coeffs_by_deg, default=0)
-    vec = np.zeros(deg + 1, dtype=complex)
+    vec = np.zeros(max(coeffs_by_deg, default=0) + 1, dtype=complex)
     for d, c in coeffs_by_deg.items():
-        vec[deg - d] = c
-    # trim negligible leading coefficients before building the companion
-    mx = np.max(np.abs(vec))
-    if mx == 0.0:
-        return np.array([], dtype=complex)
-    lead = 0
-    while lead < deg and abs(vec[lead]) <= POLY_EPS * mx:
-        lead += 1
-    vec = vec[lead:]
-    if vec.size <= 1:
-        return np.array([], dtype=complex)
-    return np.roots(vec)
+        vec[d] = c
+    return np.roots(_trim_leading(vec)[::-1])
+
+
+def _trim_leading(vec: np.ndarray) -> np.ndarray:
+    """Ascending coefficients without the top ones negligible against the
+    largest (all of them for the zero polynomial)."""
+    mx = np.max(np.abs(vec), initial=0.0)
+    keep = np.flatnonzero(np.abs(vec) > POLY_EPS * mx)
+    return vec[:keep[-1] + 1] if mx > 0.0 else vec[:0]
 
 
 def back_substitute(elim: Elimination, tol: Tolerances = DEFAULT_TOL) -> tuple[list[dict[int, complex]], bool]:
@@ -689,6 +689,89 @@ def _dense_values(nvars: int, assignment: dict[int, complex]) -> np.ndarray:
     for k, v in assignment.items():
         out[k] = v
     return out
+
+
+# ---------------------------------------------------------------------------
+# Two unknowns by one resultant
+# ---------------------------------------------------------------------------
+
+def _solve_by_resultant(system: list[MultiPoly]) -> tuple[list[dict[int, complex]], bool, int]:
+    """All common roots of polynomials in slots 0 (x) and 1 (y).
+
+    The two sparsest polynomials that involve both slots (the two sparsest
+    when fewer do), of degrees dp, dq in x and total degrees tp, tq, have a
+    Sylvester resultant in x that is a polynomial in y of degree at most
+    dq tp + dp tq - dp dq <= tp tq.  It is interpolated by one inverse DFT
+    from the determinants of the Sylvester matrix at K roots of unity, K the
+    first power of two above that bound.  Each root of the resultant fixes
+    y, and x is a root of the lowest-degree substituted polynomial, kept
+    where every other polynomial vanishes under the ``BRANCH_EPS`` rule of
+    :func:`back_substitute`.
+
+    Returns the assignments, a completeness flag that drops when a root of
+    the resultant leaves every polynomial identically zero in x, and the
+    degree of the trimmed resultant.  Raises NonGeneric when the resultant
+    vanishes against its pre-cancellation scale, the Hadamard bound of the
+    Sylvester matrix: the pair shares a factor, a curve of solutions.
+    """
+    dense = []
+    for p in system:
+        c = np.zeros((p.degree_in(0) + 1, p.degree_in(1) + 1), dtype=complex)
+        for exp, v in p.terms.items():
+            c[exp[0], exp[1]] = v
+        dense.append(c)
+    i, j = sorted(range(len(system)),
+                  key=lambda t: (system[t].support() != {0, 1}, len(system[t].terms)))[:2]
+    dp, dq = dense[i].shape[0] - 1, dense[j].shape[0] - 1
+    if dp + dq == 0:
+        raise NonGeneric("slot 0 is unconstrained")
+    bound = dq * system[i].total_degree() + dp * system[j].total_degree() - dp * dq
+    k = 1 << bound.bit_length()
+    nodes = np.exp(-2j * np.pi * np.arange(k) / k)
+    # coefficients in x, ascending, at each node
+    cp, cq = ((c @ nodes ** np.arange(c.shape[1])[:, None]).T for c in (dense[i], dense[j]))
+    syl = np.zeros((nodes.size, dp + dq, dp + dq), dtype=complex)
+    for r in range(dq):
+        syl[:, r, r:r + dp + 1] = cp[:, ::-1]
+    for r in range(dp):
+        syl[:, dq + r, r:r + dq + 1] = cq[:, ::-1]
+    det = np.linalg.det(syl)
+    scale = np.max(np.linalg.norm(cp, axis=1) ** dq * np.linalg.norm(cq, axis=1) ** dp)
+    if np.max(np.abs(det)) <= CANCEL_REL * scale:
+        raise NonGeneric("resultant vanished identically")
+    resultant = _trim_leading(np.fft.ifft(det)[:bound + 1])
+
+    # the coefficients in x of every polynomial at every root y, normalized,
+    # with the top ones that are negligible against the largest set to zero
+    ys = np.roots(resultant[::-1])
+    width = max(c.shape[0] for c in dense)
+    subs = np.zeros((len(dense), width, ys.size), dtype=complex)
+    for t, c in enumerate(dense):
+        subs[t, :c.shape[0]] = c @ ys ** np.arange(c.shape[1])[:, None]
+    mags = np.abs(subs)
+    top = mags.max(axis=1)
+    live = top > POLY_EPS * 10
+    degree = width - 1 - np.argmax((mags > POLY_EPS * top[:, None])[:, ::-1], axis=1)
+    subs = np.where(np.arange(width)[:, None] <= degree[:, None], subs, 0) / np.where(live, top, 1)[:, None]
+
+    assignments: list[dict[int, complex]] = []
+    complete = True
+    for r, y in enumerate(ys):
+        rows = np.flatnonzero(live[:, r])
+        if rows.size == 0:
+            # every polynomial vanishes along this y: x is undetermined
+            complete = False
+            continue
+        base = rows[np.argmin(degree[rows, r])]
+        others = rows[rows != base]
+        if degree[base, r] == 0:
+            continue     # a nonzero constant: no x at this y
+        xs = np.roots(subs[base, degree[base, r]::-1, r])
+        vals = np.abs(subs[others, :, r] @ xs ** np.arange(width)[:, None])
+        ok = np.all(vals <= BRANCH_EPS * np.maximum(1.0, np.abs(xs))
+                    ** np.maximum(1, degree[others, r])[:, None], axis=0)
+        assignments += [{0: complex(x), 1: complex(y)} for x in xs[ok]]
+    return assignments, complete, len(resultant) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -757,10 +840,11 @@ def track_coupled(kd: KernelData, split: tuple[int, int], rng: np.random.Generat
 class EligibleSet:
     """Product vectors compatible with both range constraints.
 
-    On the elimination path (block systems, underdetermined coupled
-    systems) ``exhaustive`` is True when the elimination certified a
-    finite, complete candidate set, and ``degree_bound`` bounds how many
-    candidates the terminal polynomial can produce.  On the path-tracked
+    On the polynomial paths (block systems, underdetermined coupled
+    systems) ``exhaustive`` is True when the resultant or the elimination
+    certified a finite, complete candidate set, and ``degree_bound`` is the
+    degree of the resultant or terminal polynomial, which bounds how many
+    candidates its roots can produce.  On the path-tracked
     path (square or overdetermined coupled systems, any M) ``exhaustive``
     is True when every path is accounted for: each ended at a finite
     nonsingular point that no other path reached.  ``degree_bound`` is then
@@ -916,8 +1000,10 @@ def enumerate_eligible(
     A seeded random Alice rotation first makes every sought vector generic
     in the computational basis (nonzero first coordinate).  Each kernel
     large enough to pin the Alice coordinates on its own provides a
-    holomorphic minor system, solved by elimination; with two such kernels
-    the set is the union of both systems' vectors.  Otherwise the coupled
+    holomorphic minor system: in two unknowns (M = 3) it is solved by one
+    Sylvester resultant (see :func:`_solve_by_resultant`), in any other
+    number by elimination.  With two such kernels the set is the union of
+    both systems' vectors.  Otherwise the coupled
     system links the coordinates with their conjugates: with
     k + k_T >= 2M + N - 3 it is square or overdetermined and is solved by
     homotopy continuation (see :func:`track_coupled`), for M = 2 as for
@@ -958,8 +1044,9 @@ def enumerate_eligible(
 
     # Prefer equations in the alpha coordinates alone: whenever a kernel
     # block has at least N rows its vanishing minors are holomorphic in one
-    # half of the variables (the transposed block after conjugate pairing),
-    # which keeps the elimination cascade shallow.  Every block system is
+    # half of the variables (the transposed block after conjugate pairing).
+    # Two unknowns take one resultant; more take the elimination cascade,
+    # which stays shallow on half the variables.  Every block system is
     # complete on its own; the second one matters only when the first loses
     # a root to coefficient noise, so it is solved after the first one's
     # vectors have gone to ``stop``, and its candidates join the first's.
@@ -982,14 +1069,19 @@ def enumerate_eligible(
         if len(side) < m - 1:
             continue
         side.sort(key=lambda p: len(p.terms))
+        system = side[:cap]
         try:
-            elim = eliminate(side[:cap], tol)
-            assignments, comp = back_substitute(elim, tol)
+            if frozenset().union(*(p.support() for p in system)) == {0, 1}:
+                assignments, comp, bound = _solve_by_resultant(system)
+            else:
+                elim = eliminate(system, tol)
+                assignments, comp = back_substitute(elim, tol)
+                bound = elim.degree_bound
         except NonGeneric:
             continue
         candidates.add(_alphas(assignments, m))
         completes.append(comp)
-        bounds.append(elim.degree_bound)
+        bounds.append(bound)
 
     split = None if completes else _square_split(kd.k, kd.kt, m, n)
     if completes:

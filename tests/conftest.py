@@ -44,6 +44,29 @@ def match_planted(found, planted, overlap=1.0 - 1e-10):
     return hits
 
 
+def block_solves(monkeypatch, lossy=False):
+    """Record every two-unknown block solve of the eligible search.
+
+    With ``lossy`` the first solve recorded keeps only every other
+    assignment, like a solver that loses roots to coefficient noise; clear
+    the returned list to make the next solve the first again.
+    """
+    import sepcheck.vectors
+
+    calls = []
+    original = sepcheck.vectors._solve_by_resultant
+
+    def recording(system):
+        calls.append(system)
+        assignments, complete, degree = original(system)
+        if lossy and len(calls) == 1:
+            assignments = assignments[::2]
+        return assignments, complete, degree
+
+    monkeypatch.setattr(sepcheck.vectors, "_solve_by_resultant", recording)
+    return calls
+
+
 def random_psd(n, rank, rng, dtype=complex):
     g = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
     return g @ g.conj().T

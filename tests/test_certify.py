@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    block_solves,
     near_product_mixture,
     near_product_pure_state,
     near_product_rank_n_state,
@@ -636,35 +637,21 @@ class TestPipelineEdges:
         assert res.iterations == 1
 
 
-def _count_eliminations(monkeypatch):
-    import sepcheck.vectors
-
-    calls = []
-    original = sepcheck.vectors.eliminate
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(sepcheck.vectors, "eliminate", counting)
-    return calls
-
-
 class TestSecondBlockSystem:
     # Both kernels of these states pin alpha, so each gives a block system
     # that is complete on its own; the second one is solved only when the
     # first one's vectors do not certify the state.
 
     def test_first_block_decides(self, monkeypatch):
-        calls = _count_eliminations(monkeypatch)
+        calls = block_solves(monkeypatch)
         st, _ = random_separable(GeneratorSpec(dims=(3, 3), term_count=4, seed=7))
         verdict = separability_check(st, seed=7)
         assert verdict.status == "Separable"
         assert len(calls) == 1
 
     def test_second_block_recovers_lost_roots(self, monkeypatch):
-        # the first block system loses three of the six roots to noise
-        calls = _count_eliminations(monkeypatch)
+        # the first block solve is made to lose roots (two of the six vectors)
+        calls = block_solves(monkeypatch, lossy=True)
         st, _ = random_separable(GeneratorSpec(dims=(3, 4), term_count=6, seed=1932334634))
         verdict = separability_check(st, seed=1932334634)
         assert verdict.status == "Separable"
@@ -678,6 +665,7 @@ class TestSecondBlockSystem:
         import sepcheck.vectors
         from sepcheck.errors import DegenerateRowChoice
 
+        block_solves(monkeypatch, lossy=True)
         original = sepcheck.vectors._minor_system
         built = []
 

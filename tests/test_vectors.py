@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import match_planted
+from conftest import block_solves, match_planted
 from sepcheck.certify import separability_check
 from sepcheck.errors import NonGeneric, RankSumTooHigh
 from sepcheck.fixtures import (
@@ -26,6 +26,7 @@ from sepcheck.vectors import (
     MultiPoly,
     _accept_candidate,
     _polish_alpha,
+    _solve_by_resultant,
     back_substitute,
     constraint_matrix,
     eliminate,
@@ -202,6 +203,104 @@ class TestEliminate:
         assert len(assignments) <= 18
 
 
+def _through(points, degree, count, rng):
+    """``count`` random polynomials of total degree ``degree`` in slots 0 and
+    1 that vanish at every (x, y) of ``points``."""
+    monos = [(i, d - i) for d in range(degree + 1) for i in range(d + 1)]
+    at = np.array([[x ** i * y ** j for i, j in monos] for x, y in points])
+    null = np.linalg.svd(at)[2][len(points):].conj().T
+    coeffs = null @ (rng.normal(size=(null.shape[1], count))
+                     + 1j * rng.normal(size=(null.shape[1], count)))
+    return [MultiPoly(2, dict(zip(monos, c))) for c in coeffs.T]
+
+
+def _solutions(assignments):
+    return sorted((round(a[0].real, 8), round(a[1].real, 8)) for a in assignments)
+
+
+class TestSolveByResultant:
+    def test_planted_roots_recovered(self):
+        # three cubics through four planted points: the first two meet in
+        # 3 x 3 = 9 points, the resultant's degree, and the third keeps the four
+        rng = np.random.default_rng(61)
+        points = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+        assignments, complete, degree = _solve_by_resultant(_through(points, 3, 3, rng))
+        assert complete and degree == 9
+        assert len(assignments) == 4
+        for x, y in points:
+            assert min(abs(a[0] - x) + abs(a[1] - y) for a in assignments) < 1e-9
+
+    def test_agrees_with_elimination(self):
+        # TestEliminate's product system: solutions (1, 1) and (2, 2)
+        x = MultiPoly.variable(2, 0)
+        y = MultiPoly.variable(2, 1)
+        system = [(x - 1.0) * (x - 2.0), y - x]
+        assignments, complete, degree = _solve_by_resultant(system)
+        cascade, cascade_complete = back_substitute(eliminate(system))
+        assert complete and cascade_complete and degree == 2
+        assert _solutions(assignments) == _solutions(cascade) == [(1.0, 1.0), (2.0, 2.0)]
+
+    def test_inconsistent_pair_has_no_roots(self):
+        # parallel lines: the resultant is a nonzero constant
+        x = MultiPoly.variable(2, 0)
+        y = MultiPoly.variable(2, 1)
+        assert _solve_by_resultant([x + y, x + y + 1.0]) == ([], True, 0)
+
+    def test_common_factor_is_nongeneric(self):
+        x = MultiPoly.variable(2, 0)
+        y = MultiPoly.variable(2, 1)
+        line = x + 0.5 * y + (1.0 - 0.3j)
+        with pytest.raises(NonGeneric, match="resultant"):
+            _solve_by_resultant([line * (x - 2.0 * y), line * (3.0 * x + y - 1.0)])
+
+
+class TestRouting:
+    # block systems in two Alice unknowns (M = 3) are solved by the
+    # resultant; three or more unknowns stay on the elimination cascade
+    @staticmethod
+    def _eliminations(monkeypatch):
+        import sepcheck.vectors
+
+        calls = []
+        original = sepcheck.vectors.eliminate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sepcheck.vectors, "eliminate", counting)
+        return calls
+
+    @pytest.mark.parametrize("dims,k,seed", [((3, 3), 4, 4), ((3, 3), 5, 5), ((3, 4), 7, 11)])
+    def test_two_unknowns_skip_the_cascade(self, monkeypatch, dims, k, seed):
+        eliminations = self._eliminations(monkeypatch)
+        solves = block_solves(monkeypatch)
+        st, dec = random_separable(GeneratorSpec(dims=dims, term_count=k, seed=seed))
+        es = enumerate_eligible(st, seed=seed)
+        assert match_planted(es.vectors, [pv for _, pv in dec.terms]) == k
+        assert eliminations == [] and len(solves) >= 1
+
+    def test_three_unknowns_stay_on_the_cascade(self, monkeypatch):
+        # a 4x4 block system; the first elimination is enough to see the route
+        class Routed(Exception):
+            pass
+
+        eliminations = []
+
+        def first(*args, **kwargs):
+            eliminations.append(args)
+            raise Routed
+
+        import sepcheck.vectors
+
+        monkeypatch.setattr(sepcheck.vectors, "eliminate", first)
+        solves = block_solves(monkeypatch)
+        st, _ = random_separable(GeneratorSpec(dims=(4, 4), term_count=6, seed=1))
+        with pytest.raises(Routed):
+            enumerate_eligible(st, seed=1)
+        assert len(eliminations) == 1 and solves == []
+
+
 class TestEnumerateEligible:
     def test_planted_recovery_3x3(self):
         for k in (4, 5):
@@ -210,6 +309,16 @@ class TestEnumerateEligible:
             planted = [pv for _, pv in dec.terms]
             assert match_planted(es.vectors, planted) == k
             assert es.exhaustive
+
+    @pytest.mark.parametrize("k,seed", [(8, 3002), (9, 3003)])
+    def test_planted_recovery_3x5(self, k, seed):
+        # the elimination cascade found 5 of 8 and 6 of 9 here and still
+        # claimed exhaustive=True
+        st, dec = random_separable(GeneratorSpec(dims=(3, 5), term_count=k, seed=seed))
+        es = enumerate_eligible(st, seed=seed)
+        assert match_planted(es.vectors, [pv for _, pv in dec.terms]) == len(es.vectors) == k
+        assert es.exhaustive
+        assert separability_check(st, seed=seed).status == "Separable"
 
     def test_tiles_exhaustively_empty(self):
         es = enumerate_eligible(tiles_upb_state(), seed=9)
@@ -500,16 +609,29 @@ class TestScalarAlice:
 
 
 class TestStop:
-    # 3x4 with 6 terms: both kernels pin alpha, and the first block system
-    # loses three roots to coefficient noise
-    ST, _ = random_separable(GeneratorSpec(dims=(3, 4), term_count=6, seed=1932334634))
+    # 3x4 with 6 terms: both kernels pin alpha.  The first block system is
+    # complete; the protocol tests make its solve lose roots on purpose.
+    ST, DEC = random_separable(GeneratorSpec(dims=(3, 4), term_count=6, seed=1932334634))
 
-    def test_declined_stop_returns_the_union(self):
+    def test_first_block_finds_every_vector(self):
+        # the elimination cascade once lost three of the six roots here
+        seen = []
+        es = enumerate_eligible(self.ST, seed=1932334634, stop=lambda es: seen.append(es) or False)
+        planted = [pv for _, pv in self.DEC.terms]
+        assert len(seen) == 1 and seen[0].exhaustive
+        assert match_planted(seen[0].vectors, planted) == len(seen[0].vectors) == 6
+        assert len(es.vectors) == 6
+
+    def test_declined_stop_returns_the_union(self, monkeypatch):
+        # the lossy first solve keeps every other root, four of the six vectors
+        calls = block_solves(monkeypatch, lossy=True)
         seen = []
         union = enumerate_eligible(self.ST, seed=1932334634)
+        calls.clear()
         lazy = enumerate_eligible(self.ST, seed=1932334634,
                                   stop=lambda es: seen.append(es) or False)
-        assert len(seen) == 1 and len(seen[0].vectors) == 3
+        assert len(calls) == 2
+        assert len(seen) == 1 and len(seen[0].vectors) == 4
         assert (lazy.exhaustive, lazy.degree_bound) == (union.exhaustive, union.degree_bound)
         assert len(lazy.vectors) == len(union.vectors) == 6
         for u, v in zip(union.vectors, lazy.vectors):
@@ -520,13 +642,14 @@ class TestStop:
         es = enumerate_eligible(self.ST, seed=1932334634, stop=lambda es: seen.append(es) or True)
         assert seen == [es]
 
-    def test_stop_sees_the_input_frame(self):
+    def test_stop_sees_the_input_frame(self, monkeypatch):
         # on the 4x3 swap the search runs in the 3x4 frame, and both the set
         # handed to stop and the union come back with Alice's width 4
+        block_solves(monkeypatch, lossy=True)
         seen = []
         es = enumerate_eligible(swap_parties(self.ST), seed=1932334634,
                                 stop=lambda es: seen.append(es) or False)
-        assert len(seen) == 1 and len(seen[0].vectors) == 3
+        assert len(seen) == 1 and len(seen[0].vectors) == 4
         assert len(es.vectors) == 6
         assert {(len(pv.e), len(pv.f)) for pv in seen[0].vectors + es.vectors} == {(4, 3)}
 
