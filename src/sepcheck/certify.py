@@ -208,7 +208,13 @@ def _certify_eligible(
         return Verdict(ENTANGLED, "NoEligibleVectors", None, diag)
 
     projs = list(es.vectors)
-    feats = np.column_stack([_features(pv.projector()) for pv in projs])
+    # the projectors |v><v| of all candidates at once, in the layout of
+    # _features: upper triangle, real parts over imaginary parts
+    e, f = np.array([pv.e for pv in projs]), np.array([pv.f for pv in projs])
+    vecs = (e[:, :, None] * f[:, None, :]).reshape(len(projs), -1).T    # kron(e, f) columns
+    iu = np.triu_indices(len(vecs))
+    upper = np.einsum("ic,jc->ijc", vecs, vecs.conj())[iu]
+    feats = np.concatenate([upper.real, upper.imag])
     sol, rnorm = nnls(feats, _features(sc.rho))
     diag["nnls_residual"] = rnorm
     terms = [(float(w), pv) for w, pv in zip(sol, projs) if w > tol.residual_abs]

@@ -4,17 +4,22 @@ A product vector can appear in a separable decomposition only if it lies in
 the range of the state and its Alice-conjugated partner lies in the range of
 the partial transpose.  Both conditions become orthogonality constraints
 against the two kernels, collected in a matrix A(alpha, alpha*) whose rank
-must drop below N.  Three solvers find the Alice parts alpha:
+must drop below N.  Its rows are a numeric linear pencil in the Alice
+coordinates and their conjugates, and its N x N minors, the polynomial
+equations, are interpolated exactly from batched numeric determinants at
+roots of unity by one inverse DFT.  Three solvers find the Alice parts alpha:
 
 * One resultant.  A kernel with at least N rows gives vanishing minors of A
   holomorphic in alpha (or in alpha*), a block system.  With two unknowns
   (M = 3) the Sylvester resultant of its two sparsest minors, a polynomial
   of degree at most N^2 in one coordinate, gives every root, and each
-  root's other coordinate follows from the minors themselves.
-* Elimination.  Iterated cross-multiplication reduces the minors to a
-  single univariate polynomial whose roots are back-substituted.  This
-  solves the block systems in three or more unknowns (M >= 4), the
-  one-unknown ones (M = 2) and the underdetermined coupled systems.
+  root's other coordinate follows from the minors themselves, by one
+  stacked companion eigensolve per base degree.
+* Elimination.  Iterated cross-multiplication of sparse polynomials
+  reduces the minors to a single univariate polynomial whose roots are
+  back-substituted.  This solves the block systems in three or more
+  unknowns (M >= 4), the one-unknown ones (M = 2) and the underdetermined
+  coupled systems.
 * Homotopy continuation.  When no block system applies and
   k + k_T >= 2M + N - 3, the bilinear system A(alpha, beta) f = 0 (beta
   standing in for alpha*) is square or overdetermined, M = 2 included.  It
@@ -22,9 +27,10 @@ must drop below N.  Three solvers find the Alice parts alpha:
   Bezout paths are tracked numerically; endpoints with beta = conj(alpha)
   are kept.
 
-Either way the candidates are refined by Gauss-Newton on the bilinear
-constraints, accepted when both row blocks of A(e) f, the two range
-distances, are small, and deduplicated into the finite eligible set.
+Either way each batch of candidates is screened by one stacked SVD,
+refined together by Gauss-Newton on the bilinear constraints, accepted when
+both row blocks of A(e) f, the two range distances, are small, and
+deduplicated into the finite eligible set.
 """
 
 from __future__ import annotations
@@ -124,19 +130,15 @@ def constraint_matrix(kd: KernelData, alpha) -> np.ndarray:
     Rows are sum_m alpha_m <k_i^m| for the state kernel and
     sum_m alpha_m* <kt_i^m| for the transposed kernel; a product vector with
     Alice part alpha exists iff this matrix is rank deficient, its Bob part
-    spanning the kernel.
+    spanning the kernel.  A stack of Alice vectors, shape (..., M), gives
+    the stack of their matrices, shape (..., k + kt, N).
     """
-    alpha = np.asarray(alpha, dtype=complex).reshape(-1)
-    if alpha.shape[0] != kd.dim_a:
+    alpha = np.asarray(alpha, dtype=complex)
+    if alpha.shape[-1:] != (kd.dim_a,):
         raise ValueError("alpha length must match Alice's dimension")
-    rows = []
-    if kd.k:
-        rows.append(np.einsum("m,imn->in", alpha, kd.k_comps.conj()))
-    if kd.kt:
-        rows.append(np.einsum("m,imn->in", alpha.conj(), kd.kt_comps.conj()))
-    if not rows:
-        return np.zeros((0, kd.dim_b), dtype=complex)
-    return np.vstack(rows)
+    return np.concatenate([np.einsum("...m,imn->...in", alpha, kd.k_comps.conj()),
+                           np.einsum("...m,imn->...in", alpha.conj(), kd.kt_comps.conj())],
+                          axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -326,67 +328,38 @@ class MultiPoly:
         return f"MultiPoly(nvars={self.nvars}, nterms={len(self.terms)}, deg={self.total_degree()})"
 
 
-def _poly_det(rows: list[list[MultiPoly]], nvars: int) -> MultiPoly:
-    """Determinant of a small matrix of polynomials by Leibniz expansion."""
-    n = len(rows)
-    det = MultiPoly(nvars)
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        # parity via inversion count
-        inv = sum(1 for i in range(n) for j in range(i + 1, n) if seen[i] > seen[j])
-        if inv % 2:
-            sign = -1
-        prod = MultiPoly.constant(nvars, sign)
-        for i in range(n):
-            prod = prod * rows[i][perm[i]]
-        det = det + prod
-    return det
-
-
 # ---------------------------------------------------------------------------
-# Symbolic constraint rows and minors
+# Constraint rows and their minors
 # ---------------------------------------------------------------------------
 
-def _symbolic_rows(kd: KernelData, which: str) -> list[list[MultiPoly]]:
-    """Rows of A as vectors of polynomials in the paired variables.
+def _symbolic_rows(kd: KernelData, which: str) -> np.ndarray:
+    """Rows of A as a linear pencil in the paired variables.
 
     ``which`` selects 'k' (state-kernel rows, linear in alpha), 'kt'
     (transpose-kernel rows, linear in alpha*) or 'both' in stacked order.
+    The result has shape (rows, 1 + nvars, N): ``rows[r, 0]`` is row r's
+    constant part and ``rows[r, 1 + v]`` its coefficient of variable slot v,
+    so row r at the slot values x is ``rows[r, 0] + x @ rows[r, 1:]``.
     """
     m, n = kd.dim_a, kd.dim_b
-    nvars = 2 * (m - 1)
-    rows: list[list[MultiPoly]] = []
-
-    def _row(comps: np.ndarray, offset: int) -> list[MultiPoly]:
-        entries = []
-        for col in range(n):
-            p = MultiPoly.constant(nvars, comps[0, col].conjugate())
-            for mm in range(1, m):
-                coeff = comps[mm, col].conjugate()
-                if coeff != 0:
-                    exp = [0] * nvars
-                    exp[offset + mm - 1] = 1
-                    p = p + MultiPoly(nvars, {tuple(exp): coeff})
-            entries.append(p)
-        return entries
-
-    if which in ("k", "both"):
-        for i in range(kd.k):
-            rows.append(_row(kd.k_comps[i], 0))
-    if which in ("kt", "both"):
-        for i in range(kd.kt):
-            rows.append(_row(kd.kt_comps[i], m - 1))
-    return rows
+    parts = []
+    for comps, offset, name in ((kd.k_comps, 0, "k"), (kd.kt_comps, m - 1, "kt")):
+        if which in (name, "both"):
+            part = np.zeros((comps.shape[0], 2 * m - 1, n), dtype=complex)
+            part[:, 0] = comps[:, 0].conj()
+            part[:, 1 + offset:m + offset] = comps[:, 1:].conj()
+            parts.append(part)
+    return np.concatenate(parts)
 
 
-def _minor_system(rows: list[list[MultiPoly]], n: int, nvars: int,
+def _minor_system(rows: np.ndarray, n: int, nvars: int,
                   rng: np.random.Generator | None = None) -> list[MultiPoly]:
     """All N x N minors built from a base of N-1 rows plus each remaining row.
 
-    The base is the first N-1 rows; if those are identically dependent as
-    polynomial rows (checked at random numeric probes), the row order is
-    rotated before giving up with DegenerateRowChoice.
+    ``rows`` is a pencil from :func:`_symbolic_rows`.  The base is the first
+    N-1 rows; if those are identically dependent (checked at random numeric
+    probes), the row order is rotated before giving up with
+    DegenerateRowChoice.  The minors come from :func:`_interpolated_minors`.
     """
     total = len(rows)
     if total < n:
@@ -397,9 +370,8 @@ def _minor_system(rows: list[list[MultiPoly]], n: int, nvars: int,
         for _ in range(3):
             z = rng.normal(size=nvars // 2) + 1j * rng.normal(size=nvars // 2)
             values = np.concatenate([z, z.conj()])
-            numeric = np.array([
-                [rows[r][c].evaluate(values) for c in range(n)] for r in order[:n - 1]
-            ])
+            base = rows[order[:n - 1]]
+            numeric = base[:, 0] + np.einsum("v,rvc->rc", values, base[:, 1:])
             if np.linalg.matrix_rank(numeric, tol=1e-10) == n - 1:
                 return True
         return False
@@ -410,15 +382,45 @@ def _minor_system(rows: list[list[MultiPoly]], n: int, nvars: int,
     for order in orders:
         if not _base_ok(order):
             continue
-        base = [rows[r] for r in order[:n - 1]]
-        minors = []
-        for r in order[n - 1:]:
-            det = _poly_det(base + [rows[r]], nvars).trimmed()
-            if not det.is_zero(POLY_EPS):
-                minors.append(det.normalized())
+        minors = _interpolated_minors(rows[order], n, nvars)
         if minors:
             return minors
     raise DegenerateRowChoice("every base-row choice is identically dependent")
+
+
+def _interpolated_minors(rows: np.ndarray, n: int, nvars: int) -> list[MultiPoly]:
+    """The minors of the first N-1 pencil rows with each later row, trimmed
+    and normalized, the identically vanishing ones left out.
+
+    Each minor has degree at most N in each variable slot and total degree
+    at most N, so its coefficients follow exactly from its values on the
+    tensor grid of (N+1)-th roots of unity over the slots the rows involve:
+    one batched determinant gives every minor there, and one inverse DFT
+    interpolates them.
+    """
+    active = np.flatnonzero(np.any(rows[:, 1:] != 0, axis=(0, 2)))
+    size = n + 1
+    powers = np.array(list(itertools.product(range(size), repeat=active.size)),
+                      dtype=int).reshape(-1, active.size)
+    at_grid = rows[:, None, 0] + np.einsum("ga,rac->rgc", np.exp(-2j * np.pi * powers / size),
+                                           rows[:, 1 + active])
+    finals = at_grid[n - 1:, :, None]
+    base = np.broadcast_to(at_grid[:n - 1].swapaxes(0, 1), finals.shape[:2] + (n - 1, n))
+    dets = np.linalg.det(np.concatenate([base, finals], axis=2))
+    coeffs = np.fft.ifftn(dets.reshape((-1,) + (size,) * active.size),
+                          axes=range(1, 1 + active.size)).reshape(len(dets), -1)
+    exps = np.zeros((len(powers), nvars), dtype=int)
+    exps[:, active] = powers
+    minors = []
+    for c in np.where(powers.sum(axis=1) <= n, coeffs, 0):
+        top = np.max(np.abs(c))
+        if top <= POLY_EPS:
+            continue
+        keep = np.abs(c) > POLY_EPS * top
+        poly = MultiPoly(nvars)
+        poly.terms = dict(zip(map(tuple, exps[keep].tolist()), (c[keep] / top).tolist()))
+        minors.append(poly)
+    return minors
 
 
 def minor_polynomials(kd: KernelData, rng: np.random.Generator | None = None) -> list[MultiPoly]:
@@ -706,7 +708,8 @@ def _solve_by_resultant(system: list[MultiPoly]) -> tuple[list[dict[int, complex
     first power of two above that bound.  Each root of the resultant fixes
     y, and x is a root of the lowest-degree substituted polynomial, kept
     where every other polynomial vanishes under the ``BRANCH_EPS`` rule of
-    :func:`back_substitute`.
+    :func:`back_substitute`.  The roots y whose lowest degree is the same d
+    share one stacked eigensolve of their d x d companion matrices.
 
     Returns the assignments, a completeness flag that drops when a root of
     the resultant leaves every polynomial identically zero in x, and the
@@ -754,23 +757,29 @@ def _solve_by_resultant(system: list[MultiPoly]) -> tuple[list[dict[int, complex
     degree = width - 1 - np.argmax((mags > POLY_EPS * top[:, None])[:, ::-1], axis=1)
     subs = np.where(np.arange(width)[:, None] <= degree[:, None], subs, 0) / np.where(live, top, 1)[:, None]
 
-    assignments: list[dict[int, complex]] = []
-    complete = True
-    for r, y in enumerate(ys):
-        rows = np.flatnonzero(live[:, r])
-        if rows.size == 0:
-            # every polynomial vanishes along this y: x is undetermined
-            complete = False
-            continue
-        base = rows[np.argmin(degree[rows, r])]
-        others = rows[rows != base]
-        if degree[base, r] == 0:
-            continue     # a nonzero constant: no x at this y
-        xs = np.roots(subs[base, degree[base, r]::-1, r])
-        vals = np.abs(subs[others, :, r] @ xs ** np.arange(width)[:, None])
-        ok = np.all(vals <= BRANCH_EPS * np.maximum(1.0, np.abs(xs))
-                    ** np.maximum(1, degree[others, r])[:, None], axis=0)
-        assignments += [{0: complex(x), 1: complex(y)} for x in xs[ok]]
+    # at each y the live polynomial of lowest degree in x gives the x-roots;
+    # every root y whose base has degree d joins one stacked companion
+    # eigensolve of size d.  Where every polynomial vanishes x is
+    # undetermined, and a base of degree zero, a nonzero constant, has no x.
+    complete = bool(np.all(live.any(axis=0)))
+    base = np.argmin(np.where(live, degree, width), axis=0)
+    cols = np.arange(ys.size)
+    base_degree = np.where(live.any(axis=0), degree[base, cols], 0)
+    found: dict[int, np.ndarray] = {}
+    for d in sorted(set(base_degree[base_degree > 0].tolist())):
+        group = np.flatnonzero(base_degree == d)
+        coeffs = subs[base[group], :, group]
+        companion = np.zeros((group.size, d, d), dtype=complex)
+        companion[:, 0] = -coeffs[:, d - 1::-1] / coeffs[:, d:d + 1]
+        companion[:, 1:, :-1] = np.eye(d - 1)
+        xs = np.linalg.eigvals(companion)
+        vals = np.abs(np.einsum("twg,gwi->tgi", subs[:, :, group],
+                                xs[:, None, :] ** np.arange(width)[:, None]))
+        others = live[:, group] & (np.arange(len(dense))[:, None] != base[group])
+        bound = BRANCH_EPS * np.maximum(1.0, np.abs(xs)) ** np.maximum(1, degree[:, group])[..., None]
+        ok = np.all((vals <= bound) | ~others[..., None], axis=0)
+        found.update((r, x[keep]) for r, x, keep in zip(group, xs, ok))
+    assignments = [{0: complex(x), 1: complex(ys[r])} for r in sorted(found) for x in found[r]]
     return assignments, complete, len(resultant) - 1
 
 
@@ -856,9 +865,9 @@ class EligibleSet:
     degree_bound: int
 
 
-def _polish_alpha(kd: KernelData, alpha: np.ndarray, svals: np.ndarray,
+def _polish_alpha(kd: KernelData, alphas: np.ndarray, svals: np.ndarray,
                   vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A candidate alpha and its Bob part f, refined by Gauss-Newton.
+    """Candidate alphas and their Bob parts f, refined by Gauss-Newton.
 
     The state-kernel rows alpha^T conj(K_i) f are bilinear in (alpha, f) and
     the conjugated transposed-kernel rows alpha^T L_j conj(f) in
@@ -866,42 +875,60 @@ def _polish_alpha(kd: KernelData, alpha: np.ndarray, svals: np.ndarray,
     coordinates.  alpha_1 is pinned to one and f to the chart c.f = 1, with
     c = conj(f_0) and f_0 the smallest right singular vector of A at the
     start; each step is then one real least-squares solve, and an isolated
-    root is reached quadratically.  The best iterate is kept: iteration
-    stops when the relative residual stops falling, reaches 1e-15 of the
-    row scale, or after POLISH_STEPS steps.  ``svals`` and ``vh`` are the
-    singular values and right singular vectors of A at the start.
+    root is reached quadratically.  The best iterate is kept: a candidate
+    stops when its relative residual stops falling, reaches 1e-15 of the
+    row scale, or after POLISH_STEPS steps.
+
+    The candidates are polished together: ``alphas`` is (B, M), and
+    ``svals`` and ``vh`` are the singular values and right singular vectors
+    of A at each start.  Each step stacks the least-squares systems of the
+    candidates still running into one pseudo-inverse, with the cutoff of
+    ``np.linalg.lstsq``; a stopped candidate takes no further part, so each
+    result is the one the candidate would reach alone.  Returns the (B, M)
+    alphas and (B, N) Bob parts of the best iterates.
     """
-    alpha = np.asarray(alpha, dtype=complex).reshape(-1).copy()
+    alpha = np.asarray(alphas, dtype=complex).copy()
     m, n = kd.dim_a, kd.dim_b
-    f = vh[-1].conj()
+    f = vh[:, -1].conj()
     chart = f.conj()
-    floor = 1e-15 * float(svals[0]) / np.linalg.norm(alpha)
+    floor = 1e-15 * svals[:, 0] / np.linalg.norm(alpha, axis=1)
     kc, lt = kd.k_comps.conj(), kd.kt_comps
     k, kt = kd.k, kd.kt
-    jac = np.zeros((k + kt + 1, m - 1 + n), dtype=complex)   # d/d(alpha, f)
-    jac_bar = np.zeros_like(jac)                             # d/d conj(f)
-    jac[-1, m - 1:] = chart
-    best, best_res = (alpha, f), np.inf
+    best_alpha, best_f = alpha.copy(), f.copy()
+    best_res = np.full(len(alpha), np.inf)
+    run = np.arange(len(alpha))          # candidates still iterating
     for step in range(POLISH_STEPS + 1):
-        ka, la = alpha @ kc, alpha @ lt
-        r = np.concatenate([ka @ f, la @ f.conj(), [chart @ f - 1.0]])
-        res = np.linalg.norm(r[:-1]) / (np.linalg.norm(alpha) * np.linalg.norm(f))
-        if not res < best_res:
+        a, b = alpha[run], f[run]
+        ka = np.einsum("bm,imn->bin", a, kc)
+        la = np.einsum("bm,imn->bin", a, lt)
+        r = np.concatenate([np.einsum("bin,bn->bi", ka, b), np.einsum("bin,bn->bi", la, b.conj()),
+                            np.einsum("bn,bn->b", chart[run], b)[:, None] - 1.0], axis=1)
+        res = (np.linalg.norm(r[:, :-1], axis=1)
+               / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)))
+        better = res < best_res[run]
+        improved = run[better]
+        best_alpha[improved], best_f[improved], best_res[improved] = a[better], b[better], res[better]
+        go = better & (res > floor[run]) & (step < POLISH_STEPS)
+        run, a, b, ka, la, r = run[go], a[go], b[go], ka[go], la[go], r[go]
+        if run.size == 0:
             break
-        best, best_res = (alpha, f), res
-        if res <= floor or step == POLISH_STEPS:
-            break
-        jac[:k, :m - 1] = (kc @ f)[:, 1:]
-        jac[:k, m - 1:] = ka
-        jac[k:k + kt, :m - 1] = (lt @ f.conj())[:, 1:]
-        jac_bar[k:k + kt, m - 1:] = la
+        jac = np.zeros((run.size, k + kt + 1, m - 1 + n), dtype=complex)   # d/d(alpha, f)
+        jac_bar = np.zeros_like(jac)                                     # d/d conj(f)
+        jac[:, :k, :m - 1] = np.einsum("imn,bn->bim", kc, b)[:, :, 1:]
+        jac[:, :k, m - 1:] = ka
+        jac[:, k:k + kt, :m - 1] = np.einsum("imn,bn->bim", lt, b.conj())[:, :, 1:]
+        jac[:, -1, m - 1:] = chart[run]
+        jac_bar[:, k:k + kt, m - 1:] = la
         p, q = jac + jac_bar, jac - jac_bar
         real = np.block([[p.real, -q.imag], [p.imag, q.real]])
-        sol, *_ = np.linalg.lstsq(real, -np.concatenate([r.real, r.imag]), rcond=None)
-        dz = sol[:m - 1 + n] + 1j * sol[m - 1 + n:]
-        alpha = np.concatenate([[1.0 + 0.0j], alpha[1:] + dz[:m - 1]])
-        f = f + dz[m - 1:]
-    return best
+        rhs = -np.concatenate([r.real, r.imag], axis=1)
+        cut = np.finfo(float).eps * max(real.shape[1:])     # np.linalg.lstsq's default
+        sol = np.einsum("bij,bj->bi", np.linalg.pinv(real, rcond=cut), rhs)
+        dz = sol[:, :m - 1 + n] + 1j * sol[:, m - 1 + n:]
+        alpha[run, 0] = 1.0
+        alpha[run, 1:] = a[:, 1:] + dz[:, :m - 1]
+        f[run] = b + dz[:, m - 1:]
+    return best_alpha, best_f
 
 
 def _accept_candidate(
@@ -939,8 +966,11 @@ class _Candidates:
 
     Near-identical starts are clustered and hopeless ones dropped before the
     (comparatively expensive) polish: true roots make the constraint matrix
-    strongly rank deficient already at the unpolished start.  The screen's
-    SVD also gives the polish its first Bob part.
+    strongly rank deficient already at the unpolished start.  Each batch of
+    raw starts is decomposed by one stacked SVD, read by the sequential
+    clustering and screen, and its kept starts are polished together (see
+    :func:`_polish_alpha`); the screen's SVD also gives the polish its first
+    Bob part.
     """
 
     def __init__(self, kd: KernelData, tol: Tolerances, q: np.ndarray,
@@ -950,16 +980,24 @@ class _Candidates:
         self.accepted: list[tuple[float, ProductVector]] = []
 
     def add(self, raw: list[np.ndarray]) -> None:
-        for alpha in raw:
-            if any(np.linalg.norm(alpha - seen) < 1e-8 * max(1.0, np.linalg.norm(seen))
-                   for seen in self.starts):
+        if not raw:
+            return
+        alphas = np.array(raw)
+        _, svals, vh = np.linalg.svd(constraint_matrix(self.kd, alphas))
+        kept = []
+        for i, alpha in enumerate(alphas):
+            seen = np.array(self.starts).reshape(-1, len(alpha))
+            if np.any(np.linalg.norm(alpha - seen, axis=1)
+                      < 1e-8 * np.maximum(1.0, np.linalg.norm(seen, axis=1))):
                 continue
-            _, svals, vh = np.linalg.svd(constraint_matrix(self.kd, alpha))
-            if svals[0] > 0 and svals[-1] / svals[0] > 0.05:
+            if svals[i, 0] > 0 and svals[i, -1] / svals[i, 0] > 0.05:
                 continue
-            self.starts.append(alpha)
-            hit = _accept_candidate(self.kd, *_polish_alpha(self.kd, alpha, svals, vh),
-                                    self.tol)
+            self.starts.append(raw[i])
+            kept.append(i)
+        if not kept:
+            return
+        for alpha, f in zip(*_polish_alpha(self.kd, alphas[kept], svals[kept], vh[kept])):
+            hit = _accept_candidate(self.kd, alpha, f, self.tol)
             if hit is not None:
                 pv, res = hit
                 self.accepted.append((res, pv))
@@ -1052,7 +1090,8 @@ def enumerate_eligible(
     # vectors have gone to ``stop``, and its candidates join the first's.
     # The coupled system is the fallback: path-tracked when it is square or
     # overdetermined (its elimination loses roots to coefficient noise for
-    # M >= 3, and its Leibniz minors dominate the cost for M = 2), eliminated
+    # M >= 3, and for M = 2 its terminal polynomial outgrows the path count,
+    # degree 16 against 12 paths on an 8-term 2x6 state), eliminated
     # otherwise.  Systems are capped at two equations beyond the unknown
     # count; dropped minors stay enforced through the physical filters.
     cap = (m - 1) + 2

@@ -25,6 +25,7 @@ from sepcheck.vectors import (
     KernelData,
     MultiPoly,
     _accept_candidate,
+    _Candidates,
     _polish_alpha,
     _solve_by_resultant,
     back_substitute,
@@ -142,6 +143,29 @@ class TestMinorPolynomials:
             vals = np.array([alpha[1], alpha[2], np.conj(alpha[1]), np.conj(alpha[2])])
             for p in polys:
                 assert abs(p.normalized().evaluate(vals)) < 1e-9
+
+    @pytest.mark.parametrize("dims,k,which", [((3, 3), 4, "k"), ((4, 4), 6, "k"), ((2, 4), 5, "both")],
+                             ids=["3x3-k", "4x4-k", "2x4-both"])
+    def test_interpolated_minors_match_numeric_determinants(self, dims, k, which):
+        # each minor equals the determinant of the base rows and its final
+        # row evaluated at a random point, up to its normalization constant
+        from sepcheck.vectors import _minor_system, _symbolic_rows
+
+        st, _ = random_separable(GeneratorSpec(dims=dims, term_count=k, seed=k))
+        rows = _symbolic_rows(kernel_data(st), which)
+        n, nvars = dims[1], 2 * (dims[0] - 1)
+        minors = _minor_system(rows, n, nvars, np.random.default_rng(0))
+        assert len(minors) == len(rows) - (n - 1)
+        rng = np.random.default_rng(1)
+        ratios = []
+        for _ in range(5):
+            x = rng.normal(size=nvars) + 1j * rng.normal(size=nvars)
+            numeric = rows[:, 0] + np.einsum("v,rvc->rc", x, rows[:, 1:])
+            dets = [np.linalg.det(np.vstack([numeric[:n - 1], numeric[r]]))
+                    for r in range(n - 1, len(rows))]
+            ratios.append([p.evaluate(x) / d for p, d in zip(minors, dets)])
+        ratios = np.array(ratios)
+        assert np.all(np.abs(ratios - ratios[0]) <= 1e-10 * np.abs(ratios[0]))
 
 
 class TestEliminate:
@@ -279,6 +303,32 @@ class TestRouting:
         es = enumerate_eligible(st, seed=seed)
         assert match_planted(es.vectors, [pv for _, pv in dec.terms]) == k
         assert eliminations == [] and len(solves) >= 1
+
+    @pytest.mark.parametrize("dims,k,seed", [((3, 3), 4, 4), ((3, 3), 5, 5), ((3, 4), 7, 11)])
+    def test_two_unknowns_cost(self, monkeypatch, dims, k, seed):
+        # the minors come from numeric determinants, not polynomial
+        # products, and the resultant's x-roots from stacked companion
+        # eigensolves: its own roots are the only np.roots call of a solve
+        products, roots = [], []
+        original_mul, original_roots = MultiPoly.__mul__, np.roots
+
+        def counting_mul(self, other):
+            products.append(other)
+            return original_mul(self, other)
+
+        def counting_roots(p):
+            roots.append(p)
+            return original_roots(p)
+
+        monkeypatch.setattr(MultiPoly, "__mul__", counting_mul)
+        monkeypatch.setattr(MultiPoly, "__rmul__", counting_mul)
+        monkeypatch.setattr(np, "roots", counting_roots)
+        solves = block_solves(monkeypatch)
+        st, dec = random_separable(GeneratorSpec(dims=dims, term_count=k, seed=seed))
+        es = enumerate_eligible(st, seed=seed)
+        assert match_planted(es.vectors, [pv for _, pv in dec.terms]) == k
+        assert products == []
+        assert 1 <= len(solves) and len(roots) <= len(solves)
 
     def test_three_unknowns_stay_on_the_cascade(self, monkeypatch):
         # a 4x4 block system; the first elimination is enough to see the route
@@ -475,10 +525,12 @@ def _count_linalg(monkeypatch, *names):
     return calls
 
 
-def _polish(kd, alpha):
-    """_polish_alpha from a start whose constraint matrix it decomposes itself."""
-    _, svals, vh = np.linalg.svd(constraint_matrix(kd, alpha))
-    return _polish_alpha(kd, alpha, svals, vh)
+def _decomposed(kd, alphas):
+    """The arguments of _polish_alpha for a stack of starts (or one start):
+    the starts and the SVD of their constraint matrices."""
+    alphas = np.atleast_2d(alphas)
+    _, svals, vh = np.linalg.svd(constraint_matrix(kd, alphas))
+    return kd, alphas, svals, vh
 
 
 class TestPolish:
@@ -486,12 +538,14 @@ class TestPolish:
         st, dec = random_separable(GeneratorSpec(dims=(3, 4), term_count=7, seed=11))
         kd = kernel_data(st)
         rng = np.random.default_rng(11)
-        calls = _count_linalg(monkeypatch, "lstsq")
+        # each Gauss-Newton step is one stacked least-squares solve
+        calls = _count_linalg(monkeypatch, "pinv")
         for _, pv in dec.terms:
             alpha = pv.e / pv.e[0]
             alpha[1:] += 1e-6 * (rng.normal(size=2) + 1j * rng.normal(size=2))
+            args = _decomposed(kd, alpha)
             calls.clear()
-            alpha, f = _polish(kd, alpha)
+            (alpha,), (f,) = _polish_alpha(*args)
             assert len(calls) <= POLISH_STEPS
             e, fn = alpha / np.linalg.norm(alpha), f / np.linalg.norm(f)
             assert np.max(np.abs(constraint_matrix(kd, e) @ fn)) <= 1e-12
@@ -501,7 +555,7 @@ class TestPolish:
         kd = kernel_data(tiles_upb_state())
         rng = np.random.default_rng(12)
         for _ in range(10):
-            alpha, f = _polish(kd, haar_vector(3, rng))
+            (alpha,), (f,) = _polish_alpha(*_decomposed(kd, haar_vector(3, rng)))
             assert np.all(np.isfinite(alpha)) and np.all(np.isfinite(f))
             assert _accept_candidate(kd, alpha, f, DEFAULT_TOL) is None
 
@@ -509,7 +563,7 @@ class TestPolish:
         # an underdetermined coupled system, solved by the cascade, whose
         # imprecise roots once cost thousands of decompositions to polish
         st, dec = random_separable(GeneratorSpec(dims=(2, 4), term_count=6, seed=4006))
-        calls = _count_linalg(monkeypatch, "svd", "lstsq")
+        calls = _count_linalg(monkeypatch, "svd", "lstsq", "pinv")
         es = enumerate_eligible(st, seed=4006)
         assert len(calls) <= 100
         assert len(es.vectors) == 8 and es.exhaustive
@@ -534,6 +588,62 @@ class TestPolish:
         es = enumerate_eligible(st, seed=4006)
         assert len(es.vectors) == 8
         assert len(seen) == len(set(seen))
+
+
+class TestBatchedPolish:
+    # 3x4 with 7 terms, a block system: a planted root stops at once, the
+    # root perturbed by 1e-3 takes a few steps, a stalled start one
+    ST, DEC = random_separable(GeneratorSpec(dims=(3, 4), term_count=7, seed=11))
+
+    def _starts(self, kd, monkeypatch):
+        planted = [pv.e / pv.e[0] for _, pv in self.DEC.terms]
+        perturbed = planted[0] + np.r_[0.0, 1e-3, -1e-3]
+        calls = _count_linalg(monkeypatch, "pinv")
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            start = haar_vector(3, rng)
+            start = start / start[0]
+            args = _decomposed(kd, start)
+            calls.clear()
+            (alpha,), _ = _polish_alpha(*args)
+            if len(calls) == 1 and np.array_equal(alpha, start):
+                return planted, perturbed, start
+        raise AssertionError("no start stalls after one step")
+
+    def test_batch_equals_one_element_batches(self, monkeypatch):
+        kd = kernel_data(self.ST)
+        planted, perturbed, stalled = self._starts(kd, monkeypatch)
+        batch = [planted[0], perturbed, stalled]
+        alphas, fs = _polish_alpha(*_decomposed(kd, np.array(batch)))
+        for start, alpha, f in zip(batch, alphas, fs):
+            (alone,), (f_alone,) = _polish_alpha(*_decomposed(kd, start))
+            assert np.max(np.abs(alpha - alone)) <= 1e-12
+            assert np.max(np.abs(f - f_alone)) <= 1e-12
+        assert np.array_equal(alphas[2], stalled)
+        e, fn = alphas[1] / np.linalg.norm(alphas[1]), fs[1] / np.linalg.norm(fs[1])
+        assert np.max(np.abs(constraint_matrix(kd, e) @ fn)) <= 1e-12
+
+    def test_starts_keep_arrival_order(self, monkeypatch):
+        # the stacked screen keeps the per-start rule: a start is dropped
+        # when it lies within 1e-8 of a kept one or A(alpha) is far from
+        # rank deficient, and the kept ones are recorded in arrival order
+        kd = kernel_data(self.ST)
+        planted, perturbed, stalled = self._starts(kd, monkeypatch)
+        batches = [[stalled, planted[1], planted[1] * (1 + 1e-10), perturbed, planted[0]],
+                   [planted[0], planted[2], stalled, planted[1]]]
+        candidates = _Candidates(kd, DEFAULT_TOL, np.eye(3), (np.eye(3), np.eye(4)))
+        expected = []
+        for raw in batches:
+            candidates.add(raw)
+            for alpha in raw:
+                svals = np.linalg.svd(constraint_matrix(kd, alpha), compute_uv=False)
+                if (svals[-1] <= 0.05 * svals[0] and not any(
+                        np.linalg.norm(alpha - seen) < 1e-8 * max(1.0, np.linalg.norm(seen))
+                        for seen in expected)):
+                    expected.append(alpha)
+        assert len(expected) == 4
+        assert len(candidates.starts) == len(expected)
+        assert all(a is b for a, b in zip(candidates.starts, expected))
 
 
 def _range_distances(st, e, f):
