@@ -390,13 +390,6 @@ def separability_check(
     inconclusive.  ``diagnostics["method"]`` names the deciding stage.
     The rank-N and eligible stages each run in their own ``search_frame``
     and answer in the input's party order, as every verdict does.
-
-    When both kernels give a block system, the first system's vectors are
-    certified as soon as they are found, and a ``Separable`` verdict ends
-    the search there.  Any other outcome is decided on the union with the
-    second system's vectors, as if the first had not been certified:
-    ``eligible_count`` and ``eligible_exhaustive`` always describe the set
-    that decided the verdict.
     """
     from .canon import decompose_rank_n
 
@@ -440,25 +433,13 @@ def separability_check(
     rank_sum = r + diag["rank_ta"]
     if rank_sum <= 2 * m * n - m - n + 2:
         diag["method"] = "eligible_vectors"
-        verdicts: list[Verdict] = []
-
-        def certify(es: EligibleSet) -> Verdict:
-            # diagnostics describe the set that decides, never an earlier one
-            found = {"eligible_count": len(es.vectors), "eligible_exhaustive": es.exhaustive}
-            verdicts.append(_certify_eligible(s, sc, (va, vb), es, w, tol, diag | found))
-            return verdicts[-1]
-
         try:
-            # a first block system whose vectors certify the state ends the
-            # search, and enumerate_eligible returns that set
-            es = enumerate_eligible(sc, tol, rng,
-                                    stop=lambda first: certify(first).status == SEPARABLE)
+            es = enumerate_eligible(sc, tol, rng)
         except (NonGeneric, RankSumTooHigh) as exc:
             diag["eligible_error"] = str(exc)
             return Verdict(INCONCLUSIVE, "NonGeneric", None, diag)
-        if verdicts and verdicts[-1].status == SEPARABLE:
-            return verdicts[-1]
-        return certify(es)
+        diag |= {"eligible_count": len(es.vectors), "eligible_exhaustive": es.exhaustive}
+        return _certify_eligible(s, sc, (va, vb), es, w, tol, diag)
 
     diag["method"] = "none"
     return Verdict(INCONCLUSIVE, "BudgetExhausted", None, diag)

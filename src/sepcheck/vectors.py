@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -1023,25 +1022,22 @@ def _alphas(assignments: list[dict[int, complex]], m: int) -> list[np.ndarray]:
     return raw
 
 
-def enumerate_eligible(
-    s: BipartiteState, tol: Tolerances = DEFAULT_TOL, seed=0,
-    stop: Callable[[EligibleSet], bool] | None = None,
-) -> EligibleSet:
+def enumerate_eligible(s: BipartiteState, tol: Tolerances = DEFAULT_TOL, seed=0) -> EligibleSet:
     """The finite set of product vectors compatible with both ranges.
 
     Any state is taken.  The search runs in the :func:`state.search_frame`
     of ``s``, its supported space with Alice on the smaller side, where the
-    paper states the system; every vector it returns, and every vector it
-    hands to ``stop``, is carried back by :func:`state.lift_vector` to the
-    party order and space of ``s``.
+    paper states the system; every vector it returns is carried back by
+    :func:`state.lift_vector` to the party order and space of ``s``.
 
     A seeded random Alice rotation first makes every sought vector generic
-    in the computational basis (nonzero first coordinate).  Each kernel
-    large enough to pin the Alice coordinates on its own provides a
-    holomorphic minor system: in two unknowns (M = 3) it is solved by one
-    Sylvester resultant (see :func:`_solve_by_resultant`), in any other
-    number by elimination.  With two such kernels the set is the union of
-    both systems' vectors.  Otherwise the coupled
+    in the computational basis (nonzero first coordinate).  A kernel large
+    enough to pin the Alice coordinates on its own provides a holomorphic
+    minor system: in two unknowns (M = 3) it is solved by one Sylvester
+    resultant (see :func:`_solve_by_resultant`), in any other number by
+    elimination.  Such a block system is complete on its own, so the first
+    one solved, the state kernel's before the transposed one's, gives the
+    set.  Otherwise the coupled
     system links the coordinates with their conjugates: with
     k + k_T >= 2M + N - 3 it is square or overdetermined and is solved by
     homotopy continuation (see :func:`track_coupled`), for M = 2 as for
@@ -1052,13 +1048,6 @@ def enumerate_eligible(
     :func:`_polish_alpha`), accepted on their two range distances (see
     :func:`_accept_candidate`) and deduplicated up to phase.  All random
     draws come from ``seed``, so reruns are identical.
-
-    ``stop``, when given, sees the first block system's set, in the frame
-    of ``s``, whenever a second block system is still to be solved; if it
-    returns True that set is returned as is, and the second system is
-    never built.  The random draws are taken in the same order either way,
-    so a search that goes on returns the same union as one without
-    ``stop``.
     """
     rng = np.random.default_rng(seed)
     sf, isometries = search_frame(s, tol)
@@ -1085,9 +1074,9 @@ def enumerate_eligible(
     # half of the variables (the transposed block after conjugate pairing).
     # Two unknowns take one resultant; more take the elimination cascade,
     # which stays shallow on half the variables.  Every block system is
-    # complete on its own; the second one matters only when the first loses
-    # a root to coefficient noise, so it is solved after the first one's
-    # vectors have gone to ``stop``, and its candidates join the first's.
+    # complete on its own, so the first one solved gives the set; the other
+    # kernel's is built only when this one gives no system (fewer than M - 1
+    # minors, or a solve that raises NonGeneric).
     # The coupled system is the fallback: path-tracked when it is square or
     # overdetermined (its elimination loses roots to coefficient noise for
     # M >= 3, and for M = 2 its terminal polynomial outgrows the path count,
@@ -1095,13 +1084,7 @@ def enumerate_eligible(
     # otherwise.  Systems are capped at two equations beyond the unknown
     # count; dropped minors stay enforced through the physical filters.
     cap = (m - 1) + 2
-    completes: list[bool] = []
-    bounds: list[int] = []
     for which in [w for w, rows in (("k", kd.k), ("kt", kd.kt)) if rows >= n]:
-        if completes and stop is not None:
-            first = candidates.eligible(completes[0], bounds[0])
-            if stop(first):
-                return first
         side = _minor_system(_symbolic_rows(kd, which), n, nvars, rng)
         if which == "kt":
             side = [p.conj_pair() for p in side]
@@ -1111,22 +1094,18 @@ def enumerate_eligible(
         system = side[:cap]
         try:
             if frozenset().union(*(p.support() for p in system)) == {0, 1}:
-                assignments, comp, bound = _solve_by_resultant(system)
+                assignments, complete, degree_bound = _solve_by_resultant(system)
             else:
                 elim = eliminate(system, tol)
-                assignments, comp = back_substitute(elim, tol)
-                bound = elim.degree_bound
+                assignments, complete = back_substitute(elim, tol)
+                degree_bound = elim.degree_bound
         except NonGeneric:
             continue
         candidates.add(_alphas(assignments, m))
-        completes.append(comp)
-        bounds.append(bound)
+        return candidates.eligible(complete, degree_bound)
 
-    split = None if completes else _square_split(kd.k, kd.kt, m, n)
-    if completes:
-        complete = any(completes)
-        degree_bound = min(bounds)
-    elif split is not None:
+    split = _square_split(kd.k, kd.kt, m, n)
+    if split is not None:
         # rank below N at a generic alpha means rank below N at every alpha:
         # each alpha has a product vector, a continuum no path count covers
         probe = rng.normal(size=m) + 1j * rng.normal(size=m)
@@ -1143,4 +1122,3 @@ def enumerate_eligible(
         degree_bound = elim.degree_bound
         candidates.add(_alphas(assignments, m))
     return candidates.eligible(complete, degree_bound)
-

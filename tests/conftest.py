@@ -48,8 +48,7 @@ def block_solves(monkeypatch, lossy=False):
     """Record every two-unknown block solve of the eligible search.
 
     With ``lossy`` the first solve recorded keeps only every other
-    assignment, like a solver that loses roots to coefficient noise; clear
-    the returned list to make the next solve the first again.
+    assignment, like a solver that loses roots to coefficient noise.
     """
     import sepcheck.vectors
 

@@ -718,50 +718,33 @@ class TestScalarAlice:
             enumerate_eligible(st, seed=45)
 
 
-class TestStop:
-    # 3x4 with 6 terms: both kernels pin alpha.  The first block system is
-    # complete; the protocol tests make its solve lose roots on purpose.
+class TestOneBlockSystem:
+    # 3x4 with 6 terms: both kernels pin alpha, and the state kernel's block
+    # system, complete on its own, gives the whole set
     ST, DEC = random_separable(GeneratorSpec(dims=(3, 4), term_count=6, seed=1932334634))
 
-    def test_first_block_finds_every_vector(self):
+    def test_one_solve_finds_every_vector(self, monkeypatch):
         # the elimination cascade once lost three of the six roots here
-        seen = []
-        es = enumerate_eligible(self.ST, seed=1932334634, stop=lambda es: seen.append(es) or False)
-        planted = [pv for _, pv in self.DEC.terms]
-        assert len(seen) == 1 and seen[0].exhaustive
-        assert match_planted(seen[0].vectors, planted) == len(seen[0].vectors) == 6
-        assert len(es.vectors) == 6
+        solves = block_solves(monkeypatch)
+        es = enumerate_eligible(self.ST, seed=1932334634)
+        assert len(solves) == 1 and es.exhaustive
+        assert match_planted(es.vectors, [pv for _, pv in self.DEC.terms]) == len(es.vectors) == 6
 
-    def test_declined_stop_returns_the_union(self, monkeypatch):
-        # the lossy first solve keeps every other root, four of the six vectors
-        calls = block_solves(monkeypatch, lossy=True)
-        seen = []
-        union = enumerate_eligible(self.ST, seed=1932334634)
-        calls.clear()
-        lazy = enumerate_eligible(self.ST, seed=1932334634,
-                                  stop=lambda es: seen.append(es) or False)
-        assert len(calls) == 2
-        assert len(seen) == 1 and len(seen[0].vectors) == 4
-        assert (lazy.exhaustive, lazy.degree_bound) == (union.exhaustive, union.degree_bound)
-        assert len(lazy.vectors) == len(union.vectors) == 6
-        for u, v in zip(union.vectors, lazy.vectors):
-            assert np.array_equal(u.e, v.e) and np.array_equal(u.f, v.f)
+    def test_tiles_takes_one_solve(self, monkeypatch):
+        # an empty set is not a reason to solve the other kernel's system
+        solves = block_solves(monkeypatch)
+        verdict = separability_check(tiles_upb_state(), seed=9)
+        assert (verdict.status, verdict.reason) == ("Entangled", "NoEligibleVectors")
+        assert len(solves) == 1
 
-    def test_accepted_stop_returns_the_first_set(self):
-        seen = []
-        es = enumerate_eligible(self.ST, seed=1932334634, stop=lambda es: seen.append(es) or True)
-        assert seen == [es]
-
-    def test_stop_sees_the_input_frame(self, monkeypatch):
-        # on the 4x3 swap the search runs in the 3x4 frame, and both the set
-        # handed to stop and the union come back with Alice's width 4
+    def test_lost_roots_leave_the_verdict_undecided(self, monkeypatch):
+        # a solve that loses two of the six roots gets no second chance: the
+        # four vectors left do not reconstruct the state, and the lift says so
         block_solves(monkeypatch, lossy=True)
-        seen = []
-        es = enumerate_eligible(swap_parties(self.ST), seed=1932334634,
-                                stop=lambda es: seen.append(es) or False)
-        assert len(seen) == 1 and len(seen[0].vectors) == 4
-        assert len(es.vectors) == 6
-        assert {(len(pv.e), len(pv.f)) for pv in seen[0].vectors + es.vectors} == {(4, 3)}
+        verdict = separability_check(self.ST, seed=1932334634)
+        assert (verdict.status, verdict.reason) == ("Inconclusive", "BudgetExhausted")
+        assert verdict.diagnostics["eligible_count"] == 4
+        assert "reconstruction residual" in verdict.diagnostics["eligible_error"]
 
 
 def _swapped(dims, k, seed):
@@ -790,6 +773,7 @@ class TestInputFrame:
         pytest.param(lambda: _swapped((2, 4), 5, 0), id="swapped-2x4-k5-s0"),
         pytest.param(lambda: _swapped((2, 4), 5, 1), id="swapped-2x4-k5-s1"),
         pytest.param(lambda: _swapped((2, 6), 7, 0), id="swapped-2x6-k7-s0"),
+        pytest.param(lambda: _swapped((3, 4), 6, 1932334634), id="swapped-3x4-k6-s1932334634"),
         pytest.param(lambda: _padded((2, 4), 5, 0, (3, 4)), id="2x4-k5-s0-padded-3x4"),
         pytest.param(lambda: _padded((2, 4), 5, 0, (2, 5)), id="2x4-k5-s0-padded-2x5"),
         pytest.param(lambda: _padded((3, 3), 4, 0, (3, 4)), id="3x3-k4-s0-padded-3x4"),
