@@ -9,8 +9,9 @@ coordinates and their conjugates, and its N x N minors, the polynomial
 equations, are interpolated exactly from batched numeric determinants at
 roots of unity by one inverse DFT.  Three solvers find the Alice parts alpha:
 
-* One resultant.  A kernel with at least N rows gives vanishing minors of A
-  holomorphic in alpha (or in alpha*), a block system.  With two unknowns
+* One resultant.  A kernel with at least M + N - 2 rows gives at least
+  M - 1 vanishing minors of A holomorphic in alpha (or in alpha*), a block
+  system; one such system is solved per search.  With two unknowns
   (M = 3) the Sylvester resultant of its two sparsest minors, a polynomial
   of degree at most N^2 in one coordinate, gives every root, and each
   root's other coordinate follows from the minors themselves, by one
@@ -1070,8 +1071,9 @@ def enumerate_eligible(s: BipartiteState, tol: Tolerances = DEFAULT_TOL, seed=0)
     candidates = _Candidates(kd, tol, q, isometries)
 
     # Prefer equations in the alpha coordinates alone: whenever a kernel
-    # block has at least N rows its vanishing minors are holomorphic in one
-    # half of the variables (the transposed block after conjugate pairing).
+    # block has at least M + N - 2 rows, its base of N - 1 rows with each
+    # later row gives M - 1 minors, holomorphic in one half of the
+    # variables (the transposed block after conjugate pairing).
     # Two unknowns take one resultant; more take the elimination cascade,
     # which stays shallow on half the variables.  Every block system is
     # complete on its own, so the first one solved gives the set; the other
@@ -1084,7 +1086,7 @@ def enumerate_eligible(s: BipartiteState, tol: Tolerances = DEFAULT_TOL, seed=0)
     # otherwise.  Systems are capped at two equations beyond the unknown
     # count; dropped minors stay enforced through the physical filters.
     cap = (m - 1) + 2
-    for which in [w for w, rows in (("k", kd.k), ("kt", kd.kt)) if rows >= n]:
+    for which in [w for w, rows in (("k", kd.k), ("kt", kd.kt)) if rows >= m + n - 2]:
         side = _minor_system(_symbolic_rows(kd, which), n, nvars, rng)
         if which == "kt":
             side = [p.conj_pair() for p in side]

@@ -280,7 +280,8 @@ class TestSolveByResultant:
 
 class TestRouting:
     # block systems in two Alice unknowns (M = 3) are solved by the
-    # resultant; three or more unknowns stay on the elimination cascade
+    # resultant; three or more unknowns stay on the elimination cascade, and
+    # so does the underdetermined coupled system
     @staticmethod
     def _eliminations(monkeypatch):
         import sepcheck.vectors
@@ -294,6 +295,38 @@ class TestRouting:
 
         monkeypatch.setattr(sepcheck.vectors, "eliminate", counting)
         return calls
+
+    @pytest.mark.parametrize("case,solver,minor_systems", [
+        (((3, 3), 4), "_solve_by_resultant", 1),
+        ("tiles", "_solve_by_resultant", 1),
+        (((3, 3), 6), "track_coupled", 0),
+        (((3, 4), 8), "track_coupled", 0),
+        (((2, 4), 6), "eliminate", 1),
+    ], ids=["3x3-k4", "tiles", "3x3-k6", "3x4-k8", "2x4-k6"])
+    def test_routing_table(self, monkeypatch, case, solver, minor_systems):
+        # each input reaches one solver; a kernel with fewer than M + N - 2
+        # rows gives fewer than M - 1 minors, so it builds no block system
+        import sepcheck.vectors
+
+        calls = []
+
+        def recording(name):
+            original = getattr(sepcheck.vectors, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("_minor_system", "_solve_by_resultant", "track_coupled", "eliminate"):
+            monkeypatch.setattr(sepcheck.vectors, name, recording(name))
+        if case == "tiles":
+            st = tiles_upb_state()
+        else:
+            st, _ = random_separable(GeneratorSpec(dims=case[0], term_count=case[1], seed=5))
+        enumerate_eligible(st, seed=5)
+        assert set(calls) - {"_minor_system"} == {solver}
+        assert calls.count("_minor_system") == minor_systems
 
     @pytest.mark.parametrize("dims,k,seed", [((3, 3), 4, 4), ((3, 3), 5, 5), ((3, 4), 7, 11)])
     def test_two_unknowns_skip_the_cascade(self, monkeypatch, dims, k, seed):
