@@ -1072,7 +1072,7 @@ def enumerate_eligible(s: BipartiteState, tol: Tolerances = DEFAULT_TOL, seed=0)
 
     # Prefer equations in the alpha coordinates alone: whenever a kernel
     # block has at least M + N - 2 rows, its base of N - 1 rows with each
-    # later row gives M - 1 minors, holomorphic in one half of the
+    # later row gives at least M - 1 minors, holomorphic in one half of the
     # variables (the transposed block after conjugate pairing).
     # Two unknowns take one resultant; more take the elimination cascade,
     # which stays shallow on half the variables.  Every block system is

@@ -568,6 +568,8 @@ class TestPipelineEdges:
         assert verdict.reason == "NonGeneric"
         assert "identically dependent" in verdict.diagnostics["eligible_error"]
         assert verdict.diagnostics["method"] == "eligible_vectors"
+        # a search that raised describes no set
+        assert not {"eligible_count", "eligible_exhaustive", "nnls_residual"} & verdict.diagnostics.keys()
 
     def test_input_dims_survive_the_eligible_path(self):
         # a 3x3 eligible-path state embedded in 3x4: the verdict reports the
