@@ -12,15 +12,17 @@ roots of unity by one inverse DFT.  Three solvers find the Alice parts alpha:
 * One resultant.  A kernel with at least M + N - 2 rows gives at least
   M - 1 vanishing minors of A holomorphic in alpha (or in alpha*), a block
   system; one such system is solved per search.  With two unknowns
-  (M = 3) the Sylvester resultant of its two sparsest minors, a polynomial
-  of degree at most N^2 in one coordinate, gives every root, and each
-  root's other coordinate follows from the minors themselves, by one
-  stacked companion eigensolve per base degree.
+  (M = 3, or the underdetermined M = 2 coupled system in alpha_2 and its
+  conjugate) the Sylvester resultant of its two sparsest minors, a
+  polynomial of degree at most N^2 in one coordinate, gives every root,
+  and each root's other coordinate follows from the minors themselves, by
+  one stacked companion eigensolve per base degree.  With one unknown
+  (the M = 2 block systems) that eigensolve alone gives the roots.
 * Elimination.  Iterated cross-multiplication of sparse polynomials
   reduces the minors to a single univariate polynomial whose roots are
-  back-substituted.  This solves the block systems in three or more
-  unknowns (M >= 4), the one-unknown ones (M = 2) and the underdetermined
-  coupled systems.
+  back-substituted.  This solves the systems in three or more unknowns:
+  the block systems for M >= 4 and the underdetermined coupled systems for
+  M >= 3.
 * Homotopy continuation.  When no block system applies and
   k + k_T >= 2M + N - 3, the bilinear system A(alpha, beta) f = 0 (beta
   standing in for alpha*) is square or overdetermined, M = 2 included.  It
@@ -28,7 +30,7 @@ roots of unity by one inverse DFT.  Three solvers find the Alice parts alpha:
   Bezout paths are tracked numerically; endpoints with beta = conj(alpha)
   are kept.
 
-Either way each batch of candidates is screened by one stacked SVD,
+Whatever the solver, its candidates are screened by one stacked SVD,
 refined together by Gauss-Newton on the bilinear constraints, accepted when
 both row blocks of A(e) f, the two range distances, are small, and
 deduplicated into the finite eligible set.
@@ -694,11 +696,11 @@ def _dense_values(nvars: int, assignment: dict[int, complex]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Two unknowns by one resultant
+# One or two unknowns by one resultant
 # ---------------------------------------------------------------------------
 
 def _solve_by_resultant(system: list[MultiPoly]) -> tuple[list[dict[int, complex]], bool, int]:
-    """All common roots of polynomials in slots 0 (x) and 1 (y).
+    """All common roots of polynomials in slots 0 (x) and 1 (y), or in slot 0 alone.
 
     The two sparsest polynomials that involve both slots (the two sparsest
     when fewer do), of degrees dp, dq in x and total degrees tp, tq, have a
@@ -709,13 +711,16 @@ def _solve_by_resultant(system: list[MultiPoly]) -> tuple[list[dict[int, complex
     y, and x is a root of the lowest-degree substituted polynomial, kept
     where every other polynomial vanishes under the ``BRANCH_EPS`` rule of
     :func:`back_substitute`.  The roots y whose lowest degree is the same d
-    share one stacked eigensolve of their d x d companion matrices.
+    share one stacked eigensolve of their d x d companion matrices.  When no
+    polynomial involves y there is no resultant: the x-step runs at one y,
+    and the assignments hold x alone.
 
     Returns the assignments, a completeness flag that drops when a root of
     the resultant leaves every polynomial identically zero in x, and the
-    degree of the trimmed resultant.  Raises NonGeneric when the resultant
-    vanishes against its pre-cancellation scale, the Hadamard bound of the
-    Sylvester matrix: the pair shares a factor, a curve of solutions.
+    degree of the trimmed resultant (of the base polynomial for one
+    unknown).  Raises NonGeneric when the resultant vanishes against its
+    pre-cancellation scale, the Hadamard bound of the Sylvester matrix: the
+    pair shares a factor, a curve of solutions.
     """
     dense = []
     for p in system:
@@ -723,30 +728,33 @@ def _solve_by_resultant(system: list[MultiPoly]) -> tuple[list[dict[int, complex
         for exp, v in p.terms.items():
             c[exp[0], exp[1]] = v
         dense.append(c)
-    i, j = sorted(range(len(system)),
-                  key=lambda t: (system[t].support() != {0, 1}, len(system[t].terms)))[:2]
-    dp, dq = dense[i].shape[0] - 1, dense[j].shape[0] - 1
-    if dp + dq == 0:
-        raise NonGeneric("slot 0 is unconstrained")
-    bound = dq * system[i].total_degree() + dp * system[j].total_degree() - dp * dq
-    k = 1 << bound.bit_length()
-    nodes = np.exp(-2j * np.pi * np.arange(k) / k)
-    # coefficients in x, ascending, at each node
-    cp, cq = ((c @ nodes ** np.arange(c.shape[1])[:, None]).T for c in (dense[i], dense[j]))
-    syl = np.zeros((nodes.size, dp + dq, dp + dq), dtype=complex)
-    for r in range(dq):
-        syl[:, r, r:r + dp + 1] = cp[:, ::-1]
-    for r in range(dp):
-        syl[:, dq + r, r:r + dq + 1] = cq[:, ::-1]
-    det = np.linalg.det(syl)
-    scale = np.max(np.linalg.norm(cp, axis=1) ** dq * np.linalg.norm(cq, axis=1) ** dp)
-    if np.max(np.abs(det)) <= CANCEL_REL * scale:
-        raise NonGeneric("resultant vanished identically")
-    resultant = _trim_leading(np.fft.ifft(det)[:bound + 1])
+    if all(c.shape[1] == 1 for c in dense):
+        ys, resultant = np.zeros(1, dtype=complex), None
+    else:
+        i, j = sorted(range(len(system)),
+                      key=lambda t: (system[t].support() != {0, 1}, len(system[t].terms)))[:2]
+        dp, dq = dense[i].shape[0] - 1, dense[j].shape[0] - 1
+        if dp + dq == 0:
+            raise NonGeneric("slot 0 is unconstrained")
+        bound = dq * system[i].total_degree() + dp * system[j].total_degree() - dp * dq
+        k = 1 << bound.bit_length()
+        nodes = np.exp(-2j * np.pi * np.arange(k) / k)
+        # coefficients in x, ascending, at each node
+        cp, cq = ((c @ nodes ** np.arange(c.shape[1])[:, None]).T for c in (dense[i], dense[j]))
+        syl = np.zeros((nodes.size, dp + dq, dp + dq), dtype=complex)
+        for r in range(dq):
+            syl[:, r, r:r + dp + 1] = cp[:, ::-1]
+        for r in range(dp):
+            syl[:, dq + r, r:r + dq + 1] = cq[:, ::-1]
+        det = np.linalg.det(syl)
+        scale = np.max(np.linalg.norm(cp, axis=1) ** dq * np.linalg.norm(cq, axis=1) ** dp)
+        if np.max(np.abs(det)) <= CANCEL_REL * scale:
+            raise NonGeneric("resultant vanished identically")
+        resultant = _trim_leading(np.fft.ifft(det)[:bound + 1])
+        ys = np.roots(resultant[::-1])
 
     # the coefficients in x of every polynomial at every root y, normalized,
     # with the top ones that are negligible against the largest set to zero
-    ys = np.roots(resultant[::-1])
     width = max(c.shape[0] for c in dense)
     subs = np.zeros((len(dense), width, ys.size), dtype=complex)
     for t, c in enumerate(dense):
@@ -779,8 +787,35 @@ def _solve_by_resultant(system: list[MultiPoly]) -> tuple[list[dict[int, complex
         bound = BRANCH_EPS * np.maximum(1.0, np.abs(xs)) ** np.maximum(1, degree[:, group])[..., None]
         ok = np.all((vals <= bound) | ~others[..., None], axis=0)
         found.update((r, x[keep]) for r, x, keep in zip(group, xs, ok))
-    assignments = [{0: complex(x), 1: complex(ys[r])} for r in sorted(found) for x in found[r]]
-    return assignments, complete, len(resultant) - 1
+    roots = [(complex(x), complex(ys[r])) for r in sorted(found) for x in found[r]]
+    if resultant is None:
+        return [{0: x} for x, _ in roots], complete, int(base_degree[0])
+    return [{0: x, 1: y} for x, y in roots], complete, len(resultant) - 1
+
+
+def _solve_minors(system: list[MultiPoly], m: int,
+                  tol: Tolerances) -> tuple[list[np.ndarray], bool, int]:
+    """Alice starts (first coordinate one) of a minor system, with the
+    solver's completeness flag and degree bound.
+
+    The solver follows the number of unknowns: a system in slots 0 and 1 or
+    in slot 0 alone (every M = 2 system, the M = 3 block systems) takes one
+    resultant (see :func:`_solve_by_resultant`), one in three or more slots
+    the elimination cascade (see :func:`eliminate`, :func:`back_substitute`).
+    """
+    if frozenset().union(*(p.support() for p in system)) <= {0, 1}:
+        assignments, complete, degree_bound = _solve_by_resultant(system)
+    else:
+        elim = eliminate(system, tol)
+        assignments, complete = back_substitute(elim, tol)
+        degree_bound = elim.degree_bound
+    starts = []
+    for asg in assignments:
+        alpha = np.ones(m, dtype=complex)
+        for slot in range(m - 1):
+            alpha[slot + 1] = asg.get(slot, np.conj(asg.get(m - 1 + slot, 0.0)))
+        starts.append(alpha)
+    return starts, complete, degree_bound
 
 
 # ---------------------------------------------------------------------------
@@ -961,66 +996,32 @@ def _dedupe(vectors: list[ProductVector], tol: Tolerances) -> list[ProductVector
     return kept
 
 
-class _Candidates:
-    """Alice starts, each clustered, screened and polished once, in arrival order.
+def _eligible_set(kd: KernelData, tol: Tolerances, q: np.ndarray,
+                  isometries: tuple[np.ndarray, np.ndarray], starts: list[np.ndarray],
+                  exhaustive: bool, degree_bound: int) -> EligibleSet:
+    """The eligible set of one search, from its Alice starts.
 
-    Near-identical starts are clustered and hopeless ones dropped before the
-    (comparatively expensive) polish: true roots make the constraint matrix
-    strongly rank deficient already at the unpolished start.  Each batch of
-    raw starts is decomposed by one stacked SVD, read by the sequential
-    clustering and screen, and its kept starts are polished together (see
-    :func:`_polish_alpha`); the screen's SVD also gives the polish its first
-    Bob part.
+    Hopeless starts are dropped before the (comparatively expensive) polish:
+    true roots make the constraint matrix strongly rank deficient already at
+    the unpolished start.  One stacked SVD screens every start, and its
+    singular vectors give the polish its first Bob parts; the kept starts
+    are polished together (see :func:`_polish_alpha`) and accepted on their
+    range distances (see :func:`_accept_candidate`).  Duplicates keep their
+    best-polished representative, and the survivors are rotated back by q and
+    lifted out of the search frame.
     """
-
-    def __init__(self, kd: KernelData, tol: Tolerances, q: np.ndarray,
-                 isometries: tuple[np.ndarray, np.ndarray]):
-        self.kd, self.tol, self.q, self.isometries = kd, tol, q, isometries
-        self.starts: list[np.ndarray] = []
-        self.accepted: list[tuple[float, ProductVector]] = []
-
-    def add(self, raw: list[np.ndarray]) -> None:
-        if not raw:
-            return
-        alphas = np.array(raw)
-        _, svals, vh = np.linalg.svd(constraint_matrix(self.kd, alphas))
-        kept = []
-        for i, alpha in enumerate(alphas):
-            seen = np.array(self.starts).reshape(-1, len(alpha))
-            if np.any(np.linalg.norm(alpha - seen, axis=1)
-                      < 1e-8 * np.maximum(1.0, np.linalg.norm(seen, axis=1))):
-                continue
-            if svals[i, 0] > 0 and svals[i, -1] / svals[i, 0] > 0.05:
-                continue
-            self.starts.append(raw[i])
-            kept.append(i)
-        if not kept:
-            return
-        for alpha, f in zip(*_polish_alpha(self.kd, alphas[kept], svals[kept], vh[kept])):
-            hit = _accept_candidate(self.kd, alpha, f, self.tol)
-            if hit is not None:
-                pv, res = hit
-                self.accepted.append((res, pv))
-
-    def eligible(self, exhaustive: bool, degree_bound: int) -> EligibleSet:
-        # keep the best-polished representative of each duplicate cluster,
-        # then undo the Alice rotation q and lift out of the search frame
-        ranked = sorted(self.accepted, key=lambda t: t[0])
-        found = _dedupe([pv for _, pv in ranked], self.tol)
-        restored = tuple(lift_vector(ProductVector(self.q @ pv.e, pv.f), *self.isometries)
-                         for pv in found)
-        return EligibleSet(restored, exhaustive=exhaustive, degree_bound=degree_bound)
-
-
-def _alphas(assignments: list[dict[int, complex]], m: int) -> list[np.ndarray]:
-    """Alice vectors (first coordinate one) of back-substituted assignments."""
-    raw = []
-    for asg in assignments:
-        alpha = np.ones(m, dtype=complex)
-        for slot in range(m - 1):
-            alpha[slot + 1] = asg.get(slot, np.conj(asg.get(m - 1 + slot, 0.0)))
-        raw.append(alpha)
-    return raw
+    hits = []
+    if starts:
+        alphas = np.array(starts)
+        _, svals, vh = np.linalg.svd(constraint_matrix(kd, alphas))
+        keep = svals[:, -1] <= 0.05 * svals[:, 0]
+        if keep.any():
+            hits = [_accept_candidate(kd, alpha, f, tol)
+                    for alpha, f in zip(*_polish_alpha(kd, alphas[keep], svals[keep], vh[keep]))]
+    accepted = sorted((hit for hit in hits if hit is not None), key=lambda t: t[1])
+    found = _dedupe([pv for pv, _ in accepted], tol)
+    restored = tuple(lift_vector(ProductVector(q @ pv.e, pv.f), *isometries) for pv in found)
+    return EligibleSet(restored, exhaustive=exhaustive, degree_bound=degree_bound)
 
 
 def enumerate_eligible(s: BipartiteState, tol: Tolerances = DEFAULT_TOL, seed=0) -> EligibleSet:
@@ -1034,15 +1035,14 @@ def enumerate_eligible(s: BipartiteState, tol: Tolerances = DEFAULT_TOL, seed=0)
     A seeded random Alice rotation first makes every sought vector generic
     in the computational basis (nonzero first coordinate).  A kernel large
     enough to pin the Alice coordinates on its own provides a holomorphic
-    minor system: in two unknowns (M = 3) it is solved by one Sylvester
-    resultant (see :func:`_solve_by_resultant`), in any other number by
-    elimination.  Such a block system is complete on its own, so the first
+    minor system.  Such a block system is complete on its own, so the first
     one solved, the state kernel's before the transposed one's, gives the
-    set.  Otherwise the coupled
-    system links the coordinates with their conjugates: with
-    k + k_T >= 2M + N - 3 it is square or overdetermined and is solved by
-    homotopy continuation (see :func:`track_coupled`), for M = 2 as for
-    larger M; when it is underdetermined its minors are eliminated jointly.
+    set.  Otherwise the coupled system links the coordinates with their
+    conjugates: with k + k_T >= 2M + N - 3 it is square or overdetermined
+    and is solved by homotopy continuation (see :func:`track_coupled`), for
+    M = 2 as for larger M; when it is underdetermined its minors are solved
+    jointly.  A minor system in one or two unknowns (M = 2 or 3) takes one
+    resultant, one in three or more elimination (see :func:`_solve_minors`).
     Before tracking, A is checked at one random alpha: rank below N there
     means rank below N at every alpha, a continuum of product vectors, and
     raises NonGeneric.  Candidates are refined by Gauss-Newton (see
@@ -1068,23 +1068,21 @@ def enumerate_eligible(s: BipartiteState, tol: Tolerances = DEFAULT_TOL, seed=0)
     srot = local_filter(sf, "A", q.conj().T)
     kd = kernel_data(srot, tol)
     nvars = 2 * (m - 1)
-    candidates = _Candidates(kd, tol, q, isometries)
 
     # Prefer equations in the alpha coordinates alone: whenever a kernel
     # block has at least M + N - 2 rows, its base of N - 1 rows with each
     # later row gives at least M - 1 minors, holomorphic in one half of the
-    # variables (the transposed block after conjugate pairing).
-    # Two unknowns take one resultant; more take the elimination cascade,
-    # which stays shallow on half the variables.  Every block system is
-    # complete on its own, so the first one solved gives the set; the other
-    # kernel's is built only when this one gives no system (fewer than M - 1
-    # minors, or a solve that raises NonGeneric).
+    # variables (the transposed block after conjugate pairing).  Every block
+    # system is complete on its own, so the first one solved gives the set;
+    # the other kernel's is built only when this one gives no system (fewer
+    # than M - 1 minors, or a solve that raises NonGeneric).  The solver
+    # follows the unknown count (see :func:`_solve_minors`).
     # The coupled system is the fallback: path-tracked when it is square or
     # overdetermined (its elimination loses roots to coefficient noise for
     # M >= 3, and for M = 2 its terminal polynomial outgrows the path count,
-    # degree 16 against 12 paths on an 8-term 2x6 state), eliminated
-    # otherwise.  Systems are capped at two equations beyond the unknown
-    # count; dropped minors stay enforced through the physical filters.
+    # degree 16 against 12 paths on an 8-term 2x6 state), solved by its
+    # minors otherwise.  Systems are capped at two equations beyond the
+    # unknown count; dropped minors stay enforced through the physical filters.
     cap = (m - 1) + 2
     for which in [w for w, rows in (("k", kd.k), ("kt", kd.kt)) if rows >= m + n - 2]:
         side = _minor_system(_symbolic_rows(kd, which), n, nvars, rng)
@@ -1093,34 +1091,23 @@ def enumerate_eligible(s: BipartiteState, tol: Tolerances = DEFAULT_TOL, seed=0)
         if len(side) < m - 1:
             continue
         side.sort(key=lambda p: len(p.terms))
-        system = side[:cap]
         try:
-            if frozenset().union(*(p.support() for p in system)) == {0, 1}:
-                assignments, complete, degree_bound = _solve_by_resultant(system)
-            else:
-                elim = eliminate(system, tol)
-                assignments, complete = back_substitute(elim, tol)
-                degree_bound = elim.degree_bound
+            solved = _solve_minors(side[:cap], m, tol)
         except NonGeneric:
             continue
-        candidates.add(_alphas(assignments, m))
-        return candidates.eligible(complete, degree_bound)
-
-    split = _square_split(kd.k, kd.kt, m, n)
-    if split is not None:
-        # rank below N at a generic alpha means rank below N at every alpha:
-        # each alpha has a product vector, a continuum no path count covers
-        probe = rng.normal(size=m) + 1j * rng.normal(size=m)
-        svals = np.linalg.svd(constraint_matrix(kd, probe), compute_uv=False)
-        if svals[-1] <= tol.rank_rel * svals[0]:
-            raise NonGeneric("the constraint matrix is rank deficient at a generic alpha: "
-                             "the product vectors form a continuum")
-        raw, complete, degree_bound = track_coupled(kd, split, rng, tol)
-        candidates.add(raw)
+        break
     else:
-        system = minor_polynomials(kd, rng)
-        elim = eliminate(system, tol)
-        assignments, complete = back_substitute(elim, tol)
-        degree_bound = elim.degree_bound
-        candidates.add(_alphas(assignments, m))
-    return candidates.eligible(complete, degree_bound)
+        split = _square_split(kd.k, kd.kt, m, n)
+        if split is None:
+            solved = _solve_minors(minor_polynomials(kd, rng), m, tol)
+        else:
+            # rank below N at a generic alpha means rank below N at every
+            # alpha: each alpha has a product vector, a continuum no path
+            # count covers
+            probe = rng.normal(size=m) + 1j * rng.normal(size=m)
+            svals = np.linalg.svd(constraint_matrix(kd, probe), compute_uv=False)
+            if svals[-1] <= tol.rank_rel * svals[0]:
+                raise NonGeneric("the constraint matrix is rank deficient at a generic alpha: "
+                                 "the product vectors form a continuum")
+            solved = track_coupled(kd, split, rng, tol)
+    return _eligible_set(kd, tol, q, isometries, *solved)

@@ -45,7 +45,8 @@ def match_planted(found, planted, overlap=1.0 - 1e-10):
 
 
 def block_solves(monkeypatch, lossy=False):
-    """Record every two-unknown block solve of the eligible search.
+    """Record every resultant solve of the eligible search: the M = 3 block
+    systems and every M = 2 minor system, one or two unknowns.
 
     With ``lossy`` the first solve recorded keeps only every other
     assignment, like a solver that loses roots to coefficient noise.

@@ -25,7 +25,7 @@ from sepcheck.vectors import (
     KernelData,
     MultiPoly,
     _accept_candidate,
-    _Candidates,
+    _eligible_set,
     _polish_alpha,
     _solve_by_resultant,
     back_substitute,
@@ -264,6 +264,19 @@ class TestSolveByResultant:
         assert complete and cascade_complete and degree == 2
         assert _solutions(assignments) == _solutions(cascade) == [(1.0, 1.0), (2.0, 2.0)]
 
+    def test_one_unknown_agrees_with_elimination(self):
+        # no polynomial involves y: the roots of the lowest-degree polynomial
+        # that the other keeps, and its degree, the cascade's terminal degree
+        x = MultiPoly.variable(2, 0)
+        system = [(x - 1.0) * (x - 2.0), (x - 1.0) * (x + 3.0) * (x - 0.5j)]
+        assignments, complete, degree = _solve_by_resultant(system)
+        elim = eliminate(system)
+        cascade, cascade_complete = back_substitute(elim)
+        assert complete and cascade_complete and degree == elim.degree_bound == 2
+        assert [set(a) for a in assignments] == [{0}]
+        assert assignments[0][0] == pytest.approx(1.0) and cascade[0][0] == pytest.approx(1.0)
+        assert len(cascade) == 1
+
     def test_inconsistent_pair_has_no_roots(self):
         # parallel lines: the resultant is a nonzero constant
         x = MultiPoly.variable(2, 0)
@@ -279,9 +292,9 @@ class TestSolveByResultant:
 
 
 class TestRouting:
-    # block systems in two Alice unknowns (M = 3) are solved by the
-    # resultant; three or more unknowns stay on the elimination cascade, and
-    # so does the underdetermined coupled system
+    # minor systems in one or two unknowns (every M = 2 system, the M = 3
+    # block systems) are solved by the resultant; three or more unknowns
+    # stay on the elimination cascade
     @staticmethod
     def _eliminations(monkeypatch):
         import sepcheck.vectors
@@ -301,8 +314,9 @@ class TestRouting:
         ("tiles", "_solve_by_resultant", 1),
         (((3, 3), 6), "track_coupled", 0),
         (((3, 4), 8), "track_coupled", 0),
-        (((2, 4), 6), "eliminate", 1),
-    ], ids=["3x3-k4", "tiles", "3x3-k6", "3x4-k8", "2x4-k6"])
+        (((2, 4), 6), "_solve_by_resultant", 1),
+        (((2, 4), 4), "_solve_by_resultant", 1),
+    ], ids=["3x3-k4", "tiles", "3x3-k6", "3x4-k8", "2x4-k6", "2x4-k4"])
     def test_routing_table(self, monkeypatch, case, solver, minor_systems):
         # each input reaches one solver; a kernel with fewer than M + N - 2
         # rows gives fewer than M - 1 minors, so it builds no block system
@@ -328,7 +342,8 @@ class TestRouting:
         assert set(calls) - {"_minor_system"} == {solver}
         assert calls.count("_minor_system") == minor_systems
 
-    @pytest.mark.parametrize("dims,k,seed", [((3, 3), 4, 4), ((3, 3), 5, 5), ((3, 4), 7, 11)])
+    @pytest.mark.parametrize("dims,k,seed", [((3, 3), 4, 4), ((3, 3), 5, 5), ((3, 4), 7, 11),
+                                             ((2, 4), 6, 6), ((2, 6), 9, 9), ((2, 4), 4, 4)])
     def test_two_unknowns_skip_the_cascade(self, monkeypatch, dims, k, seed):
         eliminations = self._eliminations(monkeypatch)
         solves = block_solves(monkeypatch)
@@ -382,6 +397,8 @@ class TestRouting:
         with pytest.raises(Routed):
             enumerate_eligible(st, seed=1)
         assert len(eliminations) == 1 and solves == []
+        system = eliminations[0][0]
+        assert len(frozenset().union(*(p.support() for p in system))) >= 3
 
 
 class TestEnumerateEligible:
@@ -393,13 +410,16 @@ class TestEnumerateEligible:
             assert match_planted(es.vectors, planted) == k
             assert es.exhaustive
 
-    @pytest.mark.parametrize("k,seed", [(8, 3002), (9, 3003)])
-    def test_planted_recovery_3x5(self, k, seed):
-        # the elimination cascade found 5 of 8 and 6 of 9 here and still
-        # claimed exhaustive=True
-        st, dec = random_separable(GeneratorSpec(dims=(3, 5), term_count=k, seed=seed))
+    @pytest.mark.parametrize("dims,k,seed,count", [((3, 5), 8, 3002, 8), ((3, 5), 9, 3003, 9),
+                                                   ((2, 8), 12, 1, 22)],
+                             ids=["3x5-8-3002", "3x5-9-3003", "2x8-12-1"])
+    def test_planted_recovery(self, dims, k, seed, count):
+        # the elimination cascade found 5 of 8, 6 of 9 and 5 of 12 here and
+        # still claimed exhaustive=True
+        st, dec = random_separable(GeneratorSpec(dims=dims, term_count=k, seed=seed))
         es = enumerate_eligible(st, seed=seed)
-        assert match_planted(es.vectors, [pv for _, pv in dec.terms]) == len(es.vectors) == k
+        assert match_planted(es.vectors, [pv for _, pv in dec.terms]) == k
+        assert len(es.vectors) == count
         assert es.exhaustive
         assert separability_check(st, seed=seed).status == "Separable"
 
@@ -657,26 +677,30 @@ class TestBatchedPolish:
         assert np.max(np.abs(constraint_matrix(kd, e) @ fn)) <= 1e-12
 
     def test_starts_keep_arrival_order(self, monkeypatch):
-        # the stacked screen keeps the per-start rule: a start is dropped
-        # when it lies within 1e-8 of a kept one or A(alpha) is far from
-        # rank deficient, and the kept ones are recorded in arrival order
+        # one stacked screen hands the polish every start with
+        # s_min / s_max <= 0.05, in arrival order and near-duplicates
+        # included; the duplicates collapse after acceptance, in _dedupe
+        import sepcheck.vectors
+
         kd = kernel_data(self.ST)
         planted, perturbed, stalled = self._starts(kd, monkeypatch)
-        batches = [[stalled, planted[1], planted[1] * (1 + 1e-10), perturbed, planted[0]],
-                   [planted[0], planted[2], stalled, planted[1]]]
-        candidates = _Candidates(kd, DEFAULT_TOL, np.eye(3), (np.eye(3), np.eye(4)))
-        expected = []
-        for raw in batches:
-            candidates.add(raw)
-            for alpha in raw:
-                svals = np.linalg.svd(constraint_matrix(kd, alpha), compute_uv=False)
-                if (svals[-1] <= 0.05 * svals[0] and not any(
-                        np.linalg.norm(alpha - seen) < 1e-8 * max(1.0, np.linalg.norm(seen))
-                        for seen in expected)):
-                    expected.append(alpha)
-        assert len(expected) == 4
-        assert len(candidates.starts) == len(expected)
-        assert all(a is b for a, b in zip(candidates.starts, expected))
+        batch = [stalled, planted[1], planted[1], planted[1] + np.r_[0.0, 1e-10, -1e-10],
+                 perturbed, planted[0], stalled]
+        received = []
+        original = sepcheck.vectors._polish_alpha
+
+        def recording(kd, alphas, svals, vh):
+            received.extend(alphas)
+            return original(kd, alphas, svals, vh)
+
+        monkeypatch.setattr(sepcheck.vectors, "_polish_alpha", recording)
+        es = _eligible_set(kd, DEFAULT_TOL, np.eye(3), (np.eye(3), np.eye(4)), batch, True, 0)
+        svals = [np.linalg.svd(constraint_matrix(kd, alpha), compute_uv=False) for alpha in batch]
+        expected = [alpha for alpha, sv in zip(batch, svals) if sv[-1] <= 0.05 * sv[0]]
+        assert len(expected) == 5
+        assert np.array_equal(received, expected)
+        assert len(es.vectors) == 2
+        assert match_planted(es.vectors, [pv for _, pv in self.DEC.terms[:2]]) == 2
 
 
 def _range_distances(st, e, f):
