@@ -799,9 +799,10 @@ def _solve_minors(system: list[MultiPoly], m: int,
     solver's completeness flag and degree bound.
 
     The solver follows the number of unknowns: a system in slots 0 and 1 or
-    in slot 0 alone (every M = 2 system, the M = 3 block systems) takes one
-    resultant (see :func:`_solve_by_resultant`), one in three or more slots
-    the elimination cascade (see :func:`eliminate`, :func:`back_substitute`).
+    in slot 0 alone (every M = 2 minor system, the M = 3 block systems)
+    takes one resultant (see :func:`_solve_by_resultant`), one in three or
+    more slots the elimination cascade (see :func:`eliminate`,
+    :func:`back_substitute`).
     """
     if frozenset().union(*(p.support() for p in system)) <= {0, 1}:
         assignments, complete, degree_bound = _solve_by_resultant(system)
