@@ -212,36 +212,14 @@ def tiles_vectors() -> list[ProductVector]:
     ]
 
 
-def _validate_upb(vectors: list[ProductVector]) -> None:
-    # Orthonormal product vectors.
-    vs = [pv.vec() for pv in vectors]
-    gram = np.array([[np.vdot(a, b) for b in vs] for a in vs])
-    if not np.allclose(gram, np.eye(len(vs)), atol=1e-12):
-        raise AssertionError("tiles vectors are not orthonormal")
-    # Unextendible: no subset split allows a product vector orthogonal to all
-    # five.  e must kill the Alice parts of S, f the Bob parts of the rest;
-    # both need the respective span to be rank-deficient.
-    k = len(vectors)
-    for mask in range(2 ** k):
-        sel = [bool(mask >> i & 1) for i in range(k)]
-        alice = np.array([vectors[i].e for i in range(k) if sel[i]])
-        bob = np.array([vectors[i].f for i in range(k) if not sel[i]])
-        a_rank = np.linalg.matrix_rank(alice) if alice.size else 0
-        b_rank = np.linalg.matrix_rank(bob) if bob.size else 0
-        if a_rank < 3 and b_rank < 3:
-            raise AssertionError("tiles set admits an orthogonal product vector")
-
-
 def tiles_upb_state() -> BipartiteState:
     """Normalized projector onto the orthocomplement of the tiles vectors.
 
     A 3x3 PPT entangled state of rank 4 whose range contains no product
-    vector.  The construction is validated on every call: the five vectors
-    are mutually orthonormal products and unextendible.
+    vector: the five vectors are mutually orthonormal products and
+    unextendible (both properties are checked in the test suite).
     """
-    vectors = tiles_vectors()
-    _validate_upb(vectors)
-    proj = sum(pv.projector() for pv in vectors)
+    proj = sum(pv.projector() for pv in tiles_vectors())
     rho = (np.eye(9) - proj) / 4.0
     return BipartiteState(3, 3, rho, normalized=True)
 

@@ -19,10 +19,11 @@ roots of unity by one inverse DFT.  Three solvers find the Alice parts alpha:
   one stacked companion eigensolve per base degree.  With one unknown
   (the M = 2 block systems) that eigensolve alone gives the roots.
 * Elimination.  Iterated cross-multiplication of sparse polynomials
-  reduces the minors to a single univariate polynomial whose roots are
-  back-substituted.  This solves the systems in three or more unknowns:
-  the block systems for M >= 4 and the underdetermined coupled systems for
-  M >= 3.
+  reduces the minors to a single univariate polynomial; its roots, and
+  then each eliminated coordinate at every branch at once, come from the
+  resultant's root step.  This solves the systems in three or more
+  unknowns: the block systems for M >= 4 and the underdetermined coupled
+  systems for M >= 3.
 * Homotopy continuation.  When no block system applies and
   k + k_T >= 2M + N - 3, the bilinear system A(alpha, beta) f = 0 (beta
   standing in for alpha*) is square or overdetermined, M = 2 included.  It
@@ -285,23 +286,6 @@ class MultiPoly:
                     term *= values[i] ** e
             total += term
         return complex(total)
-
-    def substitute(self, assignment: dict[int, complex]) -> "MultiPoly":
-        """Partially evaluate the given variable slots."""
-        out_terms: dict[tuple[int, ...], complex] = {}
-        for exp, c in self.terms.items():
-            val = c
-            new_exp = list(exp)
-            for var, value in assignment.items():
-                e = exp[var]
-                if e:
-                    val *= value ** e
-                new_exp[var] = 0
-            key = tuple(new_exp)
-            out_terms[key] = out_terms.get(key, 0.0) + val
-        out = MultiPoly(self.nvars)
-        out.terms = {e: c for e, c in out_terms.items() if c != 0}
-        return out
 
     def univariate_coeffs(self, var: int) -> dict[int, "MultiPoly"]:
         """Coefficients as polynomials in the remaining variables."""
@@ -612,17 +596,6 @@ def eliminate(system: list[MultiPoly], tol: Tolerances = DEFAULT_TOL) -> Elimina
     return Elimination(terminal_var, terminal, filters, chain)
 
 
-def _univar_roots(p: MultiPoly, var: int) -> np.ndarray:
-    """Roots of a univariate polynomial slice via the companion matrix."""
-    coeffs_by_deg = {}
-    for exp, c in p.terms.items():
-        coeffs_by_deg[exp[var]] = coeffs_by_deg.get(exp[var], 0.0) + c
-    vec = np.zeros(max(coeffs_by_deg, default=0) + 1, dtype=complex)
-    for d, c in coeffs_by_deg.items():
-        vec[d] = c
-    return np.roots(_trim_leading(vec)[::-1])
-
-
 def _trim_leading(vec: np.ndarray) -> np.ndarray:
     """Ascending coefficients without the top ones negligible against the
     largest (all of them for the zero polynomial)."""
@@ -631,68 +604,90 @@ def _trim_leading(vec: np.ndarray) -> np.ndarray:
     return vec[:keep[-1] + 1] if mx > 0.0 else vec[:0]
 
 
+def _coefficients_in(polys: list[MultiPoly], var: int, values: np.ndarray) -> np.ndarray:
+    """Ascending coefficients in slot ``var`` of each polynomial, with the
+    other slots set to each row of ``values``: shape (polys, width, rows)."""
+    out = np.zeros((len(polys), 1 + max(p.degree_in(var) for p in polys), len(values)), dtype=complex)
+    for t, p in enumerate(polys):
+        exps = np.array(list(p.terms))
+        rest = exps * (np.arange(p.nvars) != var)
+        monos = np.prod(values[:, None] ** rest, axis=2) * np.array(list(p.terms.values()))
+        np.add.at(out[t], exps[:, var], monos.T)
+    return out
+
+
 def back_substitute(elim: Elimination, tol: Tolerances = DEFAULT_TOL) -> tuple[list[dict[int, complex]], bool]:
     """All variable assignments compatible with the elimination chain.
 
-    Returns the assignments and a completeness flag; the flag drops when a
-    degenerate branch (all solvers vanishing under a partial assignment) had
-    to be discarded.  Filtering here is deliberately lenient: the physical
-    residual tests downstream are the authoritative gate.
+    The terminal polynomial and the filters give the terminal variable's
+    roots, and each stage, latest first, solves its variable at every
+    assignment so far; both steps are the resultant's root step (see
+    :func:`_branch_roots`), with the solvers' coefficients evaluated at
+    every assignment at once.  Returns the assignments and a completeness
+    flag that drops when every solver of a stage vanishes under an
+    assignment, leaving its variable undetermined.  Filtering here is
+    deliberately lenient: the physical residual tests downstream are the
+    authoritative gate.
     """
     if elim.inconsistent:
         return [], True
+    stages = [Stage(elim.terminal_var, [elim.terminal] + elim.filters)] + elim.chain[::-1]
+    values = np.zeros((1, elim.terminal.nvars), dtype=complex)
     complete = True
-    roots = _univar_roots(elim.terminal, elim.terminal_var)
-    assignments: list[dict[int, complex]] = []
-    for r in roots:
-        ok = True
-        for flt in elim.filters:
-            val = abs(flt.normalized().evaluate(_dense_values(flt.nvars, {elim.terminal_var: r})))
-            bound = BRANCH_EPS * max(1.0, abs(r)) ** max(1, flt.degree_in(elim.terminal_var))
-            if val > bound:
-                ok = False
-                break
-        if ok:
-            assignments.append({elim.terminal_var: complex(r)})
-
-    for stage in reversed(elim.chain):
-        new_assignments: list[dict[int, complex]] = []
-        for asg in assignments:
-            subs = [p.substitute(asg).trimmed() for p in stage.solvers]
-            subs = [p for p in subs if not p.is_zero(POLY_EPS * 10)]
-            candidates = [p for p in subs if stage.var in p.support()]
-            if not candidates:
-                # Solvers vanished: the variable is undetermined along this
-                # branch; drop it but report incompleteness.
-                complete = False
-                continue
-            candidates.sort(key=lambda p: p.degree_in(stage.var))
-            base = candidates[0]
-            branch_roots = _univar_roots(base.normalized(), stage.var)
-            for r in branch_roots:
-                ok = True
-                for other in candidates[1:]:
-                    val = abs(other.normalized().evaluate(
-                        _dense_values(other.nvars, {**asg, stage.var: r})))
-                    bound = BRANCH_EPS * max(1.0, abs(r)) ** max(1, other.degree_in(stage.var))
-                    if val > bound:
-                        ok = False
-                        break
-                if ok:
-                    new = dict(asg)
-                    new[stage.var] = complex(r)
-                    new_assignments.append(new)
-        if len(new_assignments) > MAX_BRANCHES:
+    for stage in stages:
+        roots, ok, _ = _branch_roots(_coefficients_in(stage.solvers, stage.var, values))
+        complete &= ok
+        values = np.repeat(values, [len(r) for r in roots], axis=0)
+        values[:, stage.var] = np.concatenate([np.zeros(0, dtype=complex), *roots])
+        if len(values) > MAX_BRANCHES:
             raise NonGeneric("back-substitution branch count exploded")
-        assignments = new_assignments
-    return assignments, complete
+    return [{s.var: complex(row[s.var]) for s in stages} for row in values], complete
 
 
-def _dense_values(nvars: int, assignment: dict[int, complex]) -> np.ndarray:
-    out = np.zeros(nvars, dtype=complex)
-    for k, v in assignment.items():
-        out[k] = v
-    return out
+def _branch_roots(subs: np.ndarray) -> tuple[list[np.ndarray], bool, np.ndarray]:
+    """The roots in one variable of a polynomial system at each branch.
+
+    ``subs[t, :, b]`` holds polynomial t's ascending coefficients in the
+    variable at branch b.  Each polynomial is normalized by its largest
+    coefficient, with the top ones negligible against it set to zero, and
+    at each branch the live one of lowest degree is the base.  Every branch
+    whose base has degree d joins one stacked eigensolve of d x d companion
+    matrices, and a root x is kept where every other live polynomial p has
+    |p(x)| <= BRANCH_EPS max(1, |x|)^max(1, deg p).  Where every polynomial
+    vanishes the variable is undetermined, and a base of degree zero, a
+    nonzero constant, has no root.
+
+    Returns the kept roots per branch, a completeness flag that drops when
+    some branch has no live polynomial, and the base degree per branch
+    (zero where none is live).
+    """
+    width = subs.shape[1]
+    mags = np.abs(subs)
+    top = mags.max(axis=1)
+    live = top > POLY_EPS * 10
+    degree = width - 1 - np.argmax((mags > POLY_EPS * top[:, None])[:, ::-1], axis=1)
+    subs = np.where(np.arange(width)[:, None] <= degree[:, None], subs, 0) / np.where(live, top, 1)[:, None]
+
+    complete = bool(np.all(live.any(axis=0)))
+    base = np.argmin(np.where(live, degree, width), axis=0)
+    cols = np.arange(subs.shape[2])
+    base_degree = np.where(live.any(axis=0), degree[base, cols], 0)
+    kept = [np.zeros(0, dtype=complex)] * subs.shape[2]
+    for d in sorted(set(base_degree[base_degree > 0].tolist())):
+        group = np.flatnonzero(base_degree == d)
+        coeffs = subs[base[group], :, group]
+        companion = np.zeros((group.size, d, d), dtype=complex)
+        companion[:, 0] = -coeffs[:, d - 1::-1] / coeffs[:, d:d + 1]
+        companion[:, 1:, :-1] = np.eye(d - 1)
+        xs = np.linalg.eigvals(companion)
+        vals = np.abs(np.einsum("twg,gwi->tgi", subs[:, :, group],
+                                xs[:, None, :] ** np.arange(width)[:, None]))
+        others = live[:, group] & (np.arange(len(subs))[:, None] != base[group])
+        bound = BRANCH_EPS * np.maximum(1.0, np.abs(xs)) ** np.maximum(1, degree[:, group])[..., None]
+        ok = np.all((vals <= bound) | ~others[..., None], axis=0)
+        for r, x, keep in zip(group, xs, ok):
+            kept[r] = x[keep]
+    return kept, complete, base_degree
 
 
 # ---------------------------------------------------------------------------
@@ -708,12 +703,11 @@ def _solve_by_resultant(system: list[MultiPoly]) -> tuple[list[dict[int, complex
     dq tp + dp tq - dp dq <= tp tq.  It is interpolated by one inverse DFT
     from the determinants of the Sylvester matrix at K roots of unity, K the
     first power of two above that bound.  Each root of the resultant fixes
-    y, and x is a root of the lowest-degree substituted polynomial, kept
-    where every other polynomial vanishes under the ``BRANCH_EPS`` rule of
-    :func:`back_substitute`.  The roots y whose lowest degree is the same d
-    share one stacked eigensolve of their d x d companion matrices.  When no
-    polynomial involves y there is no resultant: the x-step runs at one y,
-    and the assignments hold x alone.
+    y, and the x-roots at every such y come from one root step (see
+    :func:`_branch_roots`, which the elimination cascade's back-substitution
+    shares): the roots of the lowest-degree substituted polynomial that every
+    other polynomial keeps.  When no polynomial involves y there is no
+    resultant: the x-step runs at one y, and the assignments hold x alone.
 
     Returns the assignments, a completeness flag that drops when a root of
     the resultant leaves every polynomial identically zero in x, and the
@@ -753,44 +747,16 @@ def _solve_by_resultant(system: list[MultiPoly]) -> tuple[list[dict[int, complex
         resultant = _trim_leading(np.fft.ifft(det)[:bound + 1])
         ys = np.roots(resultant[::-1])
 
-    # the coefficients in x of every polynomial at every root y, normalized,
-    # with the top ones that are negligible against the largest set to zero
+    # the coefficients in x of every polynomial at every root y
     width = max(c.shape[0] for c in dense)
     subs = np.zeros((len(dense), width, ys.size), dtype=complex)
     for t, c in enumerate(dense):
         subs[t, :c.shape[0]] = c @ ys ** np.arange(c.shape[1])[:, None]
-    mags = np.abs(subs)
-    top = mags.max(axis=1)
-    live = top > POLY_EPS * 10
-    degree = width - 1 - np.argmax((mags > POLY_EPS * top[:, None])[:, ::-1], axis=1)
-    subs = np.where(np.arange(width)[:, None] <= degree[:, None], subs, 0) / np.where(live, top, 1)[:, None]
-
-    # at each y the live polynomial of lowest degree in x gives the x-roots;
-    # every root y whose base has degree d joins one stacked companion
-    # eigensolve of size d.  Where every polynomial vanishes x is
-    # undetermined, and a base of degree zero, a nonzero constant, has no x.
-    complete = bool(np.all(live.any(axis=0)))
-    base = np.argmin(np.where(live, degree, width), axis=0)
-    cols = np.arange(ys.size)
-    base_degree = np.where(live.any(axis=0), degree[base, cols], 0)
-    found: dict[int, np.ndarray] = {}
-    for d in sorted(set(base_degree[base_degree > 0].tolist())):
-        group = np.flatnonzero(base_degree == d)
-        coeffs = subs[base[group], :, group]
-        companion = np.zeros((group.size, d, d), dtype=complex)
-        companion[:, 0] = -coeffs[:, d - 1::-1] / coeffs[:, d:d + 1]
-        companion[:, 1:, :-1] = np.eye(d - 1)
-        xs = np.linalg.eigvals(companion)
-        vals = np.abs(np.einsum("twg,gwi->tgi", subs[:, :, group],
-                                xs[:, None, :] ** np.arange(width)[:, None]))
-        others = live[:, group] & (np.arange(len(dense))[:, None] != base[group])
-        bound = BRANCH_EPS * np.maximum(1.0, np.abs(xs)) ** np.maximum(1, degree[:, group])[..., None]
-        ok = np.all((vals <= bound) | ~others[..., None], axis=0)
-        found.update((r, x[keep]) for r, x, keep in zip(group, xs, ok))
-    roots = [(complex(x), complex(ys[r])) for r in sorted(found) for x in found[r]]
+    xs, complete, base_degree = _branch_roots(subs)
     if resultant is None:
-        return [{0: x} for x, _ in roots], complete, int(base_degree[0])
-    return [{0: x, 1: y} for x, y in roots], complete, len(resultant) - 1
+        return [{0: complex(x)} for x in xs[0]], complete, int(base_degree[0])
+    return ([{0: complex(x), 1: complex(y)} for y, row in zip(ys, xs) for x in row],
+            complete, len(resultant) - 1)
 
 
 def _solve_minors(system: list[MultiPoly], m: int,
@@ -871,6 +837,10 @@ def track_coupled(kd: KernelData, split: tuple[int, int], rng: np.random.Generat
         if not np.all(np.isfinite(point)) or a[0] == 0 or b[0] == 0:
             continue
         alpha, beta = a / a[0], b / b[0]
+        # decides no verdict (the acceptance after the polish rejects these
+        # endpoints too), but it keeps them out of the screen and the polish:
+        # on 2x6 8-term states (seeds 0-19) 240 endpoints give 160 starts,
+        # and without this test 202 starts are polished instead of 160
         if np.linalg.norm(beta - alpha.conj()) > tol.root_abs * np.linalg.norm(alpha):
             continue
         candidates.append(alpha)

@@ -124,6 +124,28 @@ def test_only_state_swaps_the_parties():
     assert calls == []
 
 
+def _functions_using(tree, used) -> set[str]:
+    # names of the functions and methods whose body satisfies ``used``
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(used(sub) for sub in ast.walk(node))}
+
+
+def test_one_root_step_for_both_polynomial_solvers():
+    # the resultant and the elimination cascade share one root step: its
+    # BRANCH_EPS filter is applied in one function that both solvers call,
+    # and the only np.roots call left solves the resultant itself
+    tree = ast.parse((Path(sepcheck.__file__).parent / "vectors.py").read_text())
+    readers = _functions_using(tree, lambda n: isinstance(n, ast.Name) and n.id == "BRANCH_EPS")
+    roots = _functions_using(tree, lambda n: isinstance(n, ast.Call)
+                             and isinstance(n.func, ast.Attribute) and n.func.attr == "roots"
+                             and getattr(n.func.value, "id", None) == "np")
+    assert len(readers) == 1
+    assert roots == {"_solve_by_resultant"}
+    callers = _functions_using(tree, lambda n: isinstance(n, ast.Call)
+                               and getattr(n.func, "id", None) in readers)
+    assert {"_solve_by_resultant", "back_substitute"} <= callers
+
 def test_only_the_lift_swaps_terms_back():
     # a frame is swapped so that Alice sits on the smaller side, and
     # state.lift_vector is the one place that puts a vector back in the

@@ -90,6 +90,18 @@ class TestTiles:
         gram = np.array([[np.vdot(a, b) for b in vs] for a in vs])
         assert np.allclose(gram, np.eye(5), atol=1e-12)
 
+    def test_vectors_are_unextendible(self):
+        # a product vector e x f orthogonal to all five splits them into a
+        # subset S with e orthogonal to its Alice parts and the rest with f
+        # orthogonal to their Bob parts; both need a rank-deficient span, and
+        # no split of the five gives two
+        vectors = tiles_vectors()
+        for mask in range(2 ** len(vectors)):
+            alice = [pv.e for i, pv in enumerate(vectors) if mask >> i & 1]
+            bob = [pv.f for i, pv in enumerate(vectors) if not mask >> i & 1]
+            ranks = [np.linalg.matrix_rank(np.array(part)) if part else 0 for part in (alice, bob)]
+            assert max(ranks) == 3
+
     def test_ranks_via_svd_oracle(self):
         st = tiles_upb_state()
         # oracle: count singular values above a scale cutoff directly
