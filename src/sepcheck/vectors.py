@@ -596,14 +596,6 @@ def eliminate(system: list[MultiPoly], tol: Tolerances = DEFAULT_TOL) -> Elimina
     return Elimination(terminal_var, terminal, filters, chain)
 
 
-def _trim_leading(vec: np.ndarray) -> np.ndarray:
-    """Ascending coefficients without the top ones negligible against the
-    largest (all of them for the zero polynomial)."""
-    mx = np.max(np.abs(vec), initial=0.0)
-    keep = np.flatnonzero(np.abs(vec) > POLY_EPS * mx)
-    return vec[:keep[-1] + 1] if mx > 0.0 else vec[:0]
-
-
 def _coefficients_in(polys: list[MultiPoly], var: int, values: np.ndarray) -> np.ndarray:
     """Ascending coefficients in slot ``var`` of each polynomial, with the
     other slots set to each row of ``values``: shape (polys, width, rows)."""
@@ -642,6 +634,18 @@ def back_substitute(elim: Elimination, tol: Tolerances = DEFAULT_TOL) -> tuple[l
         if len(values) > MAX_BRANCHES:
             raise NonGeneric("back-substitution branch count exploded")
     return [{s.var: complex(row[s.var]) for s in stages} for row in values], complete
+
+
+# ---------------------------------------------------------------------------
+# One or two unknowns by one resultant
+# ---------------------------------------------------------------------------
+
+def _trim_leading(vec: np.ndarray) -> np.ndarray:
+    """Ascending coefficients without the top ones negligible against the
+    largest (all of them for the zero polynomial)."""
+    mx = np.max(np.abs(vec), initial=0.0)
+    keep = np.flatnonzero(np.abs(vec) > POLY_EPS * mx)
+    return vec[:keep[-1] + 1] if mx > 0.0 else vec[:0]
 
 
 def _branch_roots(subs: np.ndarray) -> tuple[list[np.ndarray], bool, np.ndarray]:
@@ -689,10 +693,6 @@ def _branch_roots(subs: np.ndarray) -> tuple[list[np.ndarray], bool, np.ndarray]
             kept[r] = x[keep]
     return kept, complete, base_degree
 
-
-# ---------------------------------------------------------------------------
-# One or two unknowns by one resultant
-# ---------------------------------------------------------------------------
 
 def _solve_by_resultant(system: list[MultiPoly]) -> tuple[list[dict[int, complex]], bool, int]:
     """All common roots of polynomials in slots 0 (x) and 1 (y), or in slot 0 alone.
@@ -837,10 +837,11 @@ def track_coupled(kd: KernelData, split: tuple[int, int], rng: np.random.Generat
         if not np.all(np.isfinite(point)) or a[0] == 0 or b[0] == 0:
             continue
         alpha, beta = a / a[0], b / b[0]
-        # decides no verdict (the acceptance after the polish rejects these
-        # endpoints too), but it keeps them out of the screen and the polish:
-        # on 2x6 8-term states (seeds 0-19) 240 endpoints give 160 starts,
-        # and without this test 202 starts are polished instead of 160
+        # no verdict rests on this test (without it the benchmark's eligible
+        # pool, the near-product sweep and 2x8 and 2x10 states keep every
+        # status), but it keeps non-conjugate endpoints out of the screen
+        # and the polish: on 2x6 8-term states (seeds 0-19) 240 endpoints
+        # give 160 starts, and without it 202 starts are polished, not 160
         if np.linalg.norm(beta - alpha.conj()) > tol.root_abs * np.linalg.norm(alpha):
             continue
         candidates.append(alpha)

@@ -146,6 +146,7 @@ def test_one_root_step_for_both_polynomial_solvers():
                                and getattr(n.func, "id", None) in readers)
     assert {"_solve_by_resultant", "back_substitute"} <= callers
 
+
 def test_only_the_lift_swaps_terms_back():
     # a frame is swapped so that Alice sits on the smaller side, and
     # state.lift_vector is the one place that puts a vector back in the
