@@ -150,17 +150,17 @@ def to_canonical_form(
 def _terms_from_canonical(
     cf: CanonicalForm, n: int, tol: Tolerances
 ) -> list[tuple[float, ProductVector]]:
-    """Assemble the N product terms from the joint eigenbasis of the blocks."""
+    """The N product terms from the joint eigenbasis of the blocks.
+
+    Each term is handed over unnormalized with weight one, in the order
+    ``joint_diagonalize`` leaves them: ``state.canonicalize`` normalizes
+    the vectors, folds their norms into the weight and orders the terms.
+    """
     w_inv = pseudo_inverse(cf.filter, tol)  # filter is PD on the full space
     u_b, table = joint_diagonalize(list(cf.blocks), tol)
-    terms = []
-    for i in range(n):
-        e_rot = np.concatenate([table[i, :].conj(), [1.0]])
-        e = cf.alice_basis @ e_rot
-        f = w_inv @ u_b[:, i]
-        weight = float(np.linalg.norm(e) ** 2 * np.linalg.norm(f) ** 2)
-        terms.append((weight, ProductVector(e / np.linalg.norm(e), f / np.linalg.norm(f))))
-    return terms
+    return [(1.0, ProductVector(cf.alice_basis @ np.concatenate([table[i].conj(), [1.0]]),
+                                w_inv @ u_b[:, i]))
+            for i in range(n)]
 
 
 def decompose_rank_n(

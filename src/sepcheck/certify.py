@@ -141,11 +141,10 @@ def spectral_ball_check(s: BipartiteState, tol: Tolerances = DEFAULT_TOL) -> boo
 # ---------------------------------------------------------------------------
 
 def _features(p: np.ndarray) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix (upper triangle, split parts)."""
-    n = p.shape[0]
-    iu = np.triu_indices(n)
-    upper = p[iu]
-    return np.concatenate([upper.real, upper.imag])
+    """Real coordinates of a Hermitian matrix, or of each in a stack, along
+    the last axis: the upper triangle, real parts over imaginary parts."""
+    upper = p[(..., *np.triu_indices(p.shape[-1]))]
+    return np.concatenate([upper.real, upper.imag], axis=-1)
 
 
 def certify_by_subsets(
@@ -208,13 +207,10 @@ def _certify_eligible(
         return Verdict(ENTANGLED, "NoEligibleVectors", None, diag)
 
     projs = list(es.vectors)
-    # the projectors |v><v| of all candidates at once, in the layout of
-    # _features: upper triangle, real parts over imaginary parts
+    # the projectors |v><v| of all candidates at once, one column each
     e, f = np.array([pv.e for pv in projs]), np.array([pv.f for pv in projs])
-    vecs = (e[:, :, None] * f[:, None, :]).reshape(len(projs), -1).T    # kron(e, f) columns
-    iu = np.triu_indices(len(vecs))
-    upper = np.einsum("ic,jc->ijc", vecs, vecs.conj())[iu]
-    feats = np.concatenate([upper.real, upper.imag])
+    vecs = (e[:, :, None] * f[:, None, :]).reshape(len(projs), -1)      # kron(e, f) rows
+    feats = _features(np.einsum("ci,cj->cij", vecs, vecs.conj())).T
     sol, rnorm = nnls(feats, _features(sc.rho))
     diag["nnls_residual"] = rnorm
     terms = [(float(w), pv) for w, pv in zip(sol, projs) if w > tol.residual_abs]

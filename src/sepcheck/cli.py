@@ -178,14 +178,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Constructive separability checks for low-rank bipartite states",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tol = Tolerances()
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-rank", type=float, default=1e-9,
+    common.add_argument("--tol-rank", type=float, default=tol.rank_rel,
                         help="relative singular-value cutoff for ranks")
-    common.add_argument("--tol-psd", type=float, default=1e-9,
+    common.add_argument("--tol-psd", type=float, default=tol.psd_abs,
                         help="absolute eigenvalue floor for positivity")
-    common.add_argument("--tol-residual", type=float, default=1e-8,
+    common.add_argument("--tol-residual", type=float, default=tol.residual_abs,
                         help="absolute Frobenius residual for reconstructions")
-    common.add_argument("--tol-root", type=float, default=1e-6,
+    common.add_argument("--tol-root", type=float, default=tol.root_abs,
                         help="absolute tolerance for polynomial roots")
     common.add_argument("--seed", type=int, default=None,
                         help="random seed (default: SEPCHECK_SEED or 0)")

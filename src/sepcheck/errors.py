@@ -47,14 +47,12 @@ class RankSumTooHigh(SepcheckError):
 class NonGeneric(SepcheckError):
     """The eligible product vectors may form a continuum, not a finite set.
 
-    Raised when polynomial elimination degenerates, and for product-vector
-    continua: by the generic-rank probe, when the constraint matrix is rank
-    deficient at a random alpha, and on a scalar Alice side of rank above one.
+    Raised when the base rows of a minor system are identically dependent
+    or all of its minors vanish, when polynomial elimination degenerates,
+    and for product-vector continua: by the generic-rank probe, when the
+    constraint matrix is rank deficient at a random alpha, and on a scalar
+    Alice side of rank above one.
     """
-
-
-class DegenerateRowChoice(NonGeneric):
-    """Every candidate base-row subset is identically dependent as polynomials."""
 
 
 class PreconditionFailed(SepcheckError):

@@ -147,13 +147,11 @@ def joint_diagonalize(family, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray
     Runs simultaneous Jacobi sweeps on the Hermitian and anti-Hermitian parts
     of the family, which keeps degenerate eigenvalues of one member paired
     correctly through the others.  Returns ``(U, table)`` where U is unitary
-    and ``table[i, k]`` holds the i-th eigenvalue of the k-th family member.
-    Rows are sorted by the eigenvalues of the first member (real part, then
-    imaginary part), with lexicographic tie-breaks on subsequent members.
-    Only the result is tested, since a family is jointly diagonalizable
-    exactly when it is normal and commuting: off-diagonal mass of some
-    ``U^dag C_k U`` above ``residual_abs * max(1, ||C_k||_F)`` raises
-    CanonicalMismatch.
+    and ``table[i, k]`` holds the k-th member's eigenvalue on the i-th
+    column of U, in the order the sweeps leave them.  Only the result is
+    tested, since a family is jointly diagonalizable exactly when it is
+    normal and commuting: off-diagonal mass of some ``U^dag C_k U`` above
+    ``residual_abs * max(1, ||C_k||_F)`` raises CanonicalMismatch.
     """
     mats = [as_cmatrix(c) for c in family]
     if not mats:
@@ -218,18 +216,4 @@ def joint_diagonalize(family, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray
         if frob(off) > tol.residual_abs * max(1.0, frob(c)):
             raise CanonicalMismatch("joint diagonalization left off-diagonal mass")
         diags.append(np.diag(d))
-    table = np.stack(diags, axis=1)  # (n, K)
-
-    # Quantize the sort key so float noise cannot break ties ahead of the
-    # later family members.
-    quantum = tol.residual_abs * max(1.0, float(np.max(np.abs(table))))
-
-    def _key(i: int):
-        return tuple(
-            int(round(v / quantum))
-            for k in range(table.shape[1])
-            for v in (table[i, k].real, table[i, k].imag)
-        )
-
-    order = sorted(range(n), key=_key)
-    return u[:, order], table[order, :]
+    return u, np.stack(diags, axis=1)

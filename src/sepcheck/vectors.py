@@ -28,8 +28,8 @@ roots of unity by one inverse DFT.  Three solvers find the Alice parts alpha:
   k + k_T >= 2M + N - 3, the bilinear system A(alpha, beta) f = 0 (beta
   standing in for alpha*) is square or overdetermined, M = 2 included.  It
   is squared by random row combinations and all of its multihomogeneous
-  Bezout paths are tracked numerically; endpoints with beta = conj(alpha)
-  are kept.
+  Bezout paths are tracked numerically, and the Alice part of every
+  finite endpoint is a candidate.
 
 Whatever the solver, its candidates are screened by one stacked SVD,
 refined together by Gauss-Newton on the bilinear constraints, accepted when
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateRowChoice, NonGeneric, RankSumTooHigh
+from .errors import NonGeneric, RankSumTooHigh
 from .numlin import DEFAULT_TOL, Tolerances, kernel_basis
 from .state import BipartiteState, ProductVector, lift_vector, local_filter, partial_transpose, search_frame
 
@@ -342,36 +342,27 @@ def _minor_system(rows: np.ndarray, n: int, nvars: int,
                   rng: np.random.Generator | None = None) -> list[MultiPoly]:
     """All N x N minors built from a base of N-1 rows plus each remaining row.
 
-    ``rows`` is a pencil from :func:`_symbolic_rows`.  The base is the first
-    N-1 rows; if those are identically dependent (checked at random numeric
-    probes), the row order is rotated before giving up with
-    DegenerateRowChoice.  The minors come from :func:`_interpolated_minors`.
+    ``rows`` is a pencil from :func:`_symbolic_rows`, and the base is its
+    first N-1 rows.  A base that is rank deficient at three random numeric
+    probes is identically dependent, and a base whose minors all vanish
+    gives no equation; either raises NonGeneric.  The minors come from
+    :func:`_interpolated_minors`.
     """
-    total = len(rows)
-    if total < n:
-        raise DegenerateRowChoice(f"need at least {n} rows, have {total}")
+    if len(rows) < n:
+        raise NonGeneric(f"need at least {n} rows, have {len(rows)}")
     rng = rng or np.random.default_rng(0)
-
-    def _base_ok(order: list[int]) -> bool:
-        for _ in range(3):
-            z = rng.normal(size=nvars // 2) + 1j * rng.normal(size=nvars // 2)
-            values = np.concatenate([z, z.conj()])
-            base = rows[order[:n - 1]]
-            numeric = base[:, 0] + np.einsum("v,rvc->rc", values, base[:, 1:])
-            if np.linalg.matrix_rank(numeric, tol=1e-10) == n - 1:
-                return True
-        return False
-
-    orders = [list(range(total))]
-    for shift in range(1, total):
-        orders.append(list(range(shift, total)) + list(range(shift)))
-    for order in orders:
-        if not _base_ok(order):
-            continue
-        minors = _interpolated_minors(rows[order], n, nvars)
-        if minors:
-            return minors
-    raise DegenerateRowChoice("every base-row choice is identically dependent")
+    base = rows[:n - 1]
+    for _ in range(3):
+        z = rng.normal(size=nvars // 2) + 1j * rng.normal(size=nvars // 2)
+        numeric = base[:, 0] + np.einsum("v,rvc->rc", np.concatenate([z, z.conj()]), base[:, 1:])
+        if np.linalg.matrix_rank(numeric, tol=1e-10) == n - 1:
+            break
+    else:
+        raise NonGeneric("the base rows are identically dependent")
+    minors = _interpolated_minors(rows, n, nvars)
+    if not minors:
+        raise NonGeneric("the rows are identically dependent: every minor vanishes")
+    return minors
 
 
 def _interpolated_minors(rows: np.ndarray, n: int, nvars: int) -> list[MultiPoly]:
@@ -524,7 +515,7 @@ def _pair_eliminant(p: MultiPoly, q: MultiPoly, var: int, max_steps: int = 200) 
     raise NonGeneric("pair elimination did not terminate")
 
 
-def eliminate(system: list[MultiPoly], tol: Tolerances = DEFAULT_TOL) -> Elimination:
+def eliminate(system: list[MultiPoly]) -> Elimination:
     """Triangularize a polynomial system down to one terminal variable.
 
     Variables are consumed in ascending slot order; at each step, every
@@ -608,7 +599,7 @@ def _coefficients_in(polys: list[MultiPoly], var: int, values: np.ndarray) -> np
     return out
 
 
-def back_substitute(elim: Elimination, tol: Tolerances = DEFAULT_TOL) -> tuple[list[dict[int, complex]], bool]:
+def back_substitute(elim: Elimination) -> tuple[list[dict[int, complex]], bool]:
     """All variable assignments compatible with the elimination chain.
 
     The terminal polynomial and the filters give the terminal variable's
@@ -759,8 +750,7 @@ def _solve_by_resultant(system: list[MultiPoly]) -> tuple[list[dict[int, complex
             complete, len(resultant) - 1)
 
 
-def _solve_minors(system: list[MultiPoly], m: int,
-                  tol: Tolerances) -> tuple[list[np.ndarray], bool, int]:
+def _solve_minors(system: list[MultiPoly], m: int) -> tuple[list[np.ndarray], bool, int]:
     """Alice starts (first coordinate one) of a minor system, with the
     solver's completeness flag and degree bound.
 
@@ -773,15 +763,11 @@ def _solve_minors(system: list[MultiPoly], m: int,
     if frozenset().union(*(p.support() for p in system)) <= {0, 1}:
         assignments, complete, degree_bound = _solve_by_resultant(system)
     else:
-        elim = eliminate(system, tol)
-        assignments, complete = back_substitute(elim, tol)
+        elim = eliminate(system)
+        assignments, complete = back_substitute(elim)
         degree_bound = elim.degree_bound
-    starts = []
-    for asg in assignments:
-        alpha = np.ones(m, dtype=complex)
-        for slot in range(m - 1):
-            alpha[slot + 1] = asg.get(slot, np.conj(asg.get(m - 1 + slot, 0.0)))
-        starts.append(alpha)
+    starts = [np.array([1.0] + [asg[slot] for slot in range(m - 1)], dtype=complex)
+              for asg in assignments]
     return starts, complete, degree_bound
 
 
@@ -809,14 +795,16 @@ def _square_split(k: int, kt: int, m: int, n: int) -> tuple[int, int] | None:
     return None if best is None else (best[1], best[2])
 
 
-def track_coupled(kd: KernelData, split: tuple[int, int], rng: np.random.Generator,
-                  tol: Tolerances = DEFAULT_TOL) -> tuple[list[np.ndarray], bool, int]:
+def track_coupled(kd: KernelData, split: tuple[int, int],
+                  rng: np.random.Generator) -> tuple[list[np.ndarray], bool, int]:
     """Alice candidates of the coupled system by homotopy continuation.
 
     Each kernel block is squared to its ``split`` row count by random
-    combinations, the square system is path-tracked, and the endpoints are
-    kept when beta = conj(alpha); every row, the unsquared ones included, is
-    tested after the polish (see :func:`_accept_candidate`).
+    combinations, and the square system in (alpha, beta, f) is
+    path-tracked.  The alpha of every finite endpoint is a candidate: the
+    polish and the acceptance test evaluate A(alpha, conj(alpha)), with
+    every row, the unsquared ones included, so the acceptance test alone
+    decides whether an endpoint is physical (see :func:`_accept_candidate`).
     Returns the candidates (first coordinate one), the completeness flag
     (every path reached a finite nonsingular endpoint of its own) and the
     path count.
@@ -830,22 +818,9 @@ def track_coupled(kd: KernelData, split: tuple[int, int], rng: np.random.Generat
 
     hom = BilinearHomotopy(_squared(kd.k_comps, split[0]), _squared(kd.kt_comps, split[1]), rng)
     x, regular = hom.track()
-    m = kd.dim_a
-    candidates = []
-    for point in x:
-        a, b, f = point[:m], point[m:2 * m], point[2 * m:]
-        if not np.all(np.isfinite(point)) or a[0] == 0 or b[0] == 0:
-            continue
-        alpha, beta = a / a[0], b / b[0]
-        # no verdict rests on this test (without it the benchmark's eligible
-        # pool, the near-product sweep and 2x8 and 2x10 states keep every
-        # status), but it keeps non-conjugate endpoints out of the screen
-        # and the polish: on 2x6 8-term states (seeds 0-19) 240 endpoints
-        # give 160 starts, and without it 202 starts are polished, not 160
-        if np.linalg.norm(beta - alpha.conj()) > tol.root_abs * np.linalg.norm(alpha):
-            continue
-        candidates.append(alpha)
-    return candidates, bool(np.all(regular)), len(x)
+    a = x[:, :kd.dim_a]
+    keep = np.all(np.isfinite(x), axis=1) & (a[:, 0] != 0)
+    return list(a[keep] / a[keep, :1]), bool(np.all(regular)), len(x)
 
 
 # ---------------------------------------------------------------------------
@@ -1064,14 +1039,14 @@ def enumerate_eligible(s: BipartiteState, tol: Tolerances = DEFAULT_TOL, seed=0)
             continue
         side.sort(key=lambda p: len(p.terms))
         try:
-            solved = _solve_minors(side[:cap], m, tol)
+            solved = _solve_minors(side[:cap], m)
         except NonGeneric:
             continue
         break
     else:
         split = _square_split(kd.k, kd.kt, m, n)
         if split is None:
-            solved = _solve_minors(minor_polynomials(kd, rng), m, tol)
+            solved = _solve_minors(minor_polynomials(kd, rng), m)
         else:
             # rank below N at a generic alpha means rank below N at every
             # alpha: each alpha has a product vector, a continuum no path
@@ -1081,5 +1056,5 @@ def enumerate_eligible(s: BipartiteState, tol: Tolerances = DEFAULT_TOL, seed=0)
             if svals[-1] <= tol.rank_rel * svals[0]:
                 raise NonGeneric("the constraint matrix is rank deficient at a generic alpha: "
                                  "the product vectors form a continuum")
-            solved = track_coupled(kd, split, rng, tol)
+            solved = track_coupled(kd, split, rng)
     return _eligible_set(kd, tol, q, isometries, *solved)

@@ -8,8 +8,9 @@ import pytest
 from conftest import near_product_pure_state, near_product_rank_n_state
 from sepcheck.canon import decompose_rank_n
 from sepcheck.certify import separability_check
-from sepcheck.cli import main
+from sepcheck.cli import _load, build_parser, main
 from sepcheck.fixtures import GeneratorSpec, generate, random_separable, werner_family
+from sepcheck.numlin import Tolerances
 from sepcheck.state import (
     decomposition_from_json,
     load_state,
@@ -105,6 +106,12 @@ class TestInspect:
         path = tmp_path / "bad.json"
         path.write_text("{\"dim_a\": 2}")
         assert main(["inspect", str(path)]) == 3
+
+    def test_tolerance_flags_default_to_the_library_defaults(self, separable_doc):
+        # the flags take their defaults from Tolerances, not from copies
+        args = build_parser().parse_args(["inspect", str(separable_doc)])
+        _load(args)
+        assert args.tol == Tolerances()
 
 
 class TestCertify:

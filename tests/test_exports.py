@@ -161,3 +161,25 @@ def test_only_the_lift_swaps_terms_back():
                     and [getattr(a, "attr", None) for a in node.args[:2]] == ["f", "e"]):
                 swaps.append(f"{path.name}:{node.lineno}")
     assert swaps == []
+
+
+def test_canonicalize_alone_orders_rank_n_terms():
+    # state.canonicalize presents every certificate, weights descending, so
+    # the rank-N stage (canon and the joint diagonalization in numlin)
+    # sorts nothing of its own
+    sorts = []
+    for name in ("canon.py", "numlin.py"):
+        tree = ast.parse((Path(sepcheck.__file__).parent / name).read_text())
+        sorts += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("sorted", "sort")]
+    assert sorts == []
+
+
+def test_only_the_acceptance_test_reads_root_abs_in_the_search():
+    # a candidate is physical when its two range distances are within
+    # root_abs: _accept_candidate decides that once for every solver, and
+    # _dedupe merges the accepted vectors at the same scale
+    tree = ast.parse((Path(sepcheck.__file__).parent / "vectors.py").read_text())
+    readers = _functions_using(tree, lambda n: isinstance(n, ast.Attribute) and n.attr == "root_abs")
+    assert readers == {"_accept_candidate", "_dedupe"}

@@ -878,9 +878,9 @@ class TestInputFrame:
 
 class TestDegenerateRows:
     def test_shared_bob_kernel_rows_rejected(self):
-        # kernel vectors all sharing one Bob direction make every base-row
-        # choice identically dependent as polynomial rows
-        from sepcheck.errors import DegenerateRowChoice
+        # kernel vectors all sharing one Bob direction make the base rows
+        # identically dependent as polynomial rows
+        from sepcheck.errors import NonGeneric
         from sepcheck.vectors import KernelData
 
         rng = np.random.default_rng(3)
@@ -890,5 +890,5 @@ class TestDegenerateRows:
         kmat = np.column_stack(cols)
         kd = KernelData(3, 3, kmat, np.zeros((9, 0)),
                         kmat.T.reshape(3, 3, 3), np.zeros((0, 3, 3)))
-        with pytest.raises(DegenerateRowChoice):
+        with pytest.raises(NonGeneric):
             minor_polynomials(kd)
