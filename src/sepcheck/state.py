@@ -57,9 +57,11 @@ class BipartiteState:
     is ``numlin._rank`` of its moduli and its smallest eigenvalue is the
     first entry, so no reader decomposes ``rho`` again, nor the permutation
     and unitary copies that :func:`swap_parties` and :func:`local_filter` make.
+    ``_compressed`` holds the tolerances under which :func:`support_compress`
+    returned this state, and None on every other state.
     """
 
-    __slots__ = ("dim_a", "dim_b", "rho", "eigenvalues", "normalized")
+    __slots__ = ("dim_a", "dim_b", "rho", "eigenvalues", "normalized", "_compressed")
 
     def __init__(self, dim_a: int, dim_b: int, rho, normalized: bool = False,
                  tol: Tolerances = DEFAULT_TOL):
@@ -86,6 +88,7 @@ class BipartiteState:
         self.rho = mat
         self.eigenvalues = w
         self.normalized = bool(normalized)
+        self._compressed = None
 
     @property
     def trace(self) -> float:
@@ -103,6 +106,7 @@ def _similar(s: BipartiteState, dim_a: int, dim_b: int, rho, normalized: bool) -
     out.rho = _hermitize(rho, DEFAULT_TOL, "density matrix")
     out.rho.setflags(write=False)
     out.dim_a, out.dim_b, out.eigenvalues, out.normalized = dim_a, dim_b, s.eigenvalues, normalized
+    out._compressed = None
     return out
 
 
@@ -125,7 +129,7 @@ class ProductVector:
 
     def vec(self) -> np.ndarray:
         """The joint vector e (x) f in the computational product basis."""
-        return np.kron(self.e, self.f)
+        return (self.e[:, None] * self.f[None, :]).reshape(-1)
 
     def projector(self) -> np.ndarray:
         v = self.vec()
@@ -248,8 +252,12 @@ def support_compress(
 
     Returns the compressed state, whose local ranks are full, together with
     the pair of local isometries (Va, Vb) undoing the compression:
-    ``rho = (Va (x) Vb) rho_c (Va (x) Vb)^dag``.
+    ``rho = (Va (x) Vb) rho_c (Va (x) Vb)^dag``.  A state this function
+    returned under the same tolerances is its own compression, so it comes
+    back at once with identity isometries.
     """
+    if s._compressed == tol:
+        return s, (np.eye(s.dim_a, dtype=complex), np.eye(s.dim_b, dtype=complex))
     va = range_basis(reduced_a(s), tol)
     vb = range_basis(reduced_b(s), tol)
     if va.shape[1] == s.dim_a:
@@ -257,10 +265,12 @@ def support_compress(
     if vb.shape[1] == s.dim_b:
         vb = np.eye(s.dim_b, dtype=complex)
     if va.shape[1] == s.dim_a and vb.shape[1] == s.dim_b:
+        s._compressed = tol
         return s, (va, vb)
     w = np.kron(va, vb)
     rho_c = w.conj().T @ s.rho @ w
     out = BipartiteState(va.shape[1], vb.shape[1], rho_c, normalized=s.normalized, tol=tol)
+    out._compressed = tol
     return out, (va, vb)
 
 

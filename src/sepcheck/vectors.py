@@ -77,6 +77,8 @@ MAX_BRANCHES = 4096
 # Step cap of the Gauss-Newton candidate polish; a candidate near an isolated
 # root converges quadratically, in a few steps.
 POLISH_STEPS = 8
+# Relative residual at which the polish stops a candidate (see _polish_alpha).
+POLISH_FLOOR = 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -858,8 +860,12 @@ def _polish_alpha(kd: KernelData, alphas: np.ndarray, svals: np.ndarray,
     c = conj(f_0) and f_0 the smallest right singular vector of A at the
     start; each step is then one real least-squares solve, and an isolated
     root is reached quadratically.  The best iterate is kept: a candidate
-    stops when its relative residual stops falling, reaches 1e-15 of the
-    row scale, or after POLISH_STEPS steps.
+    stops when its relative residual stops falling, reaches POLISH_FLOOR
+    of the row scale, or after POLISH_STEPS steps.  The floor sits a
+    hundred times above the residual's own rounding error, about 1e-15 of
+    the row scale: below it a step cannot be told from rounding, so an
+    accurate start, a resultant root say, takes no step at all, while the
+    1e-8 reconstruction check of a certificate keeps a wide margin.
 
     The candidates are polished together: ``alphas`` is (B, M), and
     ``svals`` and ``vh`` are the singular values and right singular vectors
@@ -873,7 +879,7 @@ def _polish_alpha(kd: KernelData, alphas: np.ndarray, svals: np.ndarray,
     m, n = kd.dim_a, kd.dim_b
     f = vh[:, -1].conj()
     chart = f.conj()
-    floor = 1e-15 * svals[:, 0] / np.linalg.norm(alpha, axis=1)
+    floor = POLISH_FLOOR * svals[:, 0] / np.linalg.norm(alpha, axis=1)
     kc, lt = kd.k_comps.conj(), kd.kt_comps
     k, kt = kd.k, kd.kt
     best_alpha, best_f = alpha.copy(), f.copy()
@@ -914,19 +920,23 @@ def _polish_alpha(kd: KernelData, alphas: np.ndarray, svals: np.ndarray,
 
 
 def _accept_candidate(
-    kd: KernelData, alpha: np.ndarray, f: np.ndarray, tol: Tolerances
-) -> tuple[ProductVector, float] | None:
-    """The unit product vector e x f and its ranking key max|A(e) f|, or None.
+    kd: KernelData, alphas: np.ndarray, fs: np.ndarray, tol: Tolerances
+) -> list[tuple[ProductVector, float]]:
+    """The accepted candidates of a stack, as unit product vectors e x f with
+    their ranking keys max|A(e) f|, in stack order.
 
-    The row blocks of A(e) f have the norms dist(e x f, R(rho)) and
-    dist(conj(e) x f, R(rho^T_A)); both must be within ``root_abs``.
+    ``alphas`` is (B, M) and ``fs`` (B, N).  The row blocks of A(e) f have
+    the norms dist(e x f, R(rho)) and dist(conj(e) x f, R(rho^T_A)); a
+    candidate is accepted when both are within ``root_abs``.  One residual
+    einsum decides the whole stack.
     """
-    e = alpha / np.linalg.norm(alpha)
-    fn = f / np.linalg.norm(f)
-    res = constraint_matrix(kd, e) @ fn
-    if max(np.linalg.norm(res[:kd.k]), np.linalg.norm(res[kd.k:])) > tol.root_abs:
-        return None
-    return ProductVector(e, fn), float(np.max(np.abs(res), initial=0.0))
+    e = alphas / np.linalg.norm(alphas, axis=1, keepdims=True)
+    fn = fs / np.linalg.norm(fs, axis=1, keepdims=True)
+    res = np.einsum("bin,bn->bi", constraint_matrix(kd, e), fn)
+    dist = np.maximum(np.linalg.norm(res[:, :kd.k], axis=1), np.linalg.norm(res[:, kd.k:], axis=1))
+    keys = np.max(np.abs(res), axis=1, initial=0.0)
+    ok = dist <= tol.root_abs
+    return [(ProductVector(a, b), float(key)) for a, b, key in zip(e[ok], fn[ok], keys[ok])]
 
 
 def _dedupe(vectors: list[ProductVector], tol: Tolerances) -> list[ProductVector]:
@@ -952,10 +962,11 @@ def _eligible_set(kd: KernelData, tol: Tolerances, q: np.ndarray,
     true roots make the constraint matrix strongly rank deficient already at
     the unpolished start.  One stacked SVD screens every start, and its
     singular vectors give the polish its first Bob parts; the kept starts
-    are polished together (see :func:`_polish_alpha`) and accepted on their
-    range distances (see :func:`_accept_candidate`).  Duplicates keep their
-    best-polished representative, and the survivors are rotated back by q and
-    lifted out of the search frame.
+    are polished together (see :func:`_polish_alpha`) and the polished
+    stack is accepted on its range distances in one call (see
+    :func:`_accept_candidate`).  Duplicates keep their best-polished
+    representative, and the survivors are rotated back by q and lifted out
+    of the search frame.
     """
     hits = []
     if starts:
@@ -963,9 +974,8 @@ def _eligible_set(kd: KernelData, tol: Tolerances, q: np.ndarray,
         _, svals, vh = np.linalg.svd(constraint_matrix(kd, alphas))
         keep = svals[:, -1] <= 0.05 * svals[:, 0]
         if keep.any():
-            hits = [_accept_candidate(kd, alpha, f, tol)
-                    for alpha, f in zip(*_polish_alpha(kd, alphas[keep], svals[keep], vh[keep]))]
-    accepted = sorted((hit for hit in hits if hit is not None), key=lambda t: t[1])
+            hits = _accept_candidate(kd, *_polish_alpha(kd, alphas[keep], svals[keep], vh[keep]), tol)
+    accepted = sorted(hits, key=lambda t: t[1])
     found = _dedupe([pv for pv, _ in accepted], tol)
     restored = tuple(lift_vector(ProductVector(q @ pv.e, pv.f), *isometries) for pv in found)
     return EligibleSet(restored, exhaustive=exhaustive, degree_bound=degree_bound)

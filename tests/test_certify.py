@@ -631,6 +631,27 @@ class TestPipelineEdges:
         assert verdict.status == ("Entangled" if family == "npt" else "Separable")
         assert len(calls) == expected, calls
 
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_eligible_verdict_compresses_once(self, monkeypatch, k):
+        # the pipeline compresses the state once; the search frame of the
+        # compressed state takes it as it is, with no second pair of range
+        # bases of the reduced operators
+        import sepcheck.state
+
+        st, _ = random_separable(GeneratorSpec(dims=(3, 3), term_count=k, seed=k))
+        calls = []
+        original = sepcheck.state.range_basis
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sepcheck.state, "range_basis", counting)
+        verdict = separability_check(st, seed=k)
+        assert verdict.diagnostics["method"] == "eligible_vectors"
+        assert verdict.status == "Separable"
+        assert len(calls) == 2
+
     def test_bsa_nonconvergence_flag(self):
         st, dec = random_separable(GeneratorSpec(dims=(3, 3), term_count=5, seed=41))
         res = bsa_decompose(st, [pv for _, pv in dec.terms], max_iters=1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sepcheck.fixtures import GeneratorSpec, haar_unitary, haar_vector, random_separable
-from sepcheck.numlin import inv_sqrt_on_range, numerical_rank
+from sepcheck.numlin import Tolerances, inv_sqrt_on_range, numerical_rank
 from sepcheck.state import (
     BipartiteState,
     Decomposition,
@@ -64,6 +64,12 @@ class TestConstruction:
     def test_product_vector_nonzero(self):
         with pytest.raises(ValueError):
             ProductVector(np.zeros(2), np.ones(2))
+
+    def test_product_vector_is_the_kron_product(self, rng):
+        # the index convention of the module: |i>_A (x) |j>_B is row i N + j
+        for m, n in [(1, 3), (2, 2), (3, 4), (4, 2)]:
+            e, f = haar_vector(m, rng), haar_vector(n, rng)
+            assert np.array_equal(ProductVector(e, f).vec(), np.kron(e, f))
 
     def test_decomposition_weights_positive(self):
         pv = ProductVector(np.ones(2), np.ones(2))
@@ -292,6 +298,34 @@ class TestSupportCompress:
         assert np.linalg.norm(lift @ out.rho @ lift.conj().T - st.rho) < 1e-10
         assert numerical_rank(reduced_a(out)) == 2
         assert numerical_rank(reduced_b(out)) == 2
+
+    @pytest.mark.parametrize("case", ["supported", "embedded"])
+    def test_compressed_state_comes_back_at_once(self, monkeypatch, case):
+        # a state support_compress returned is its own compression: the same
+        # tolerances give it back with identity isometries and no range
+        # basis, other tolerances measure again, and a copy is not marked
+        import sepcheck.state
+
+        st, _ = random_separable(GeneratorSpec(dims=(2, 3), term_count=6, seed=12))
+        if case == "embedded":
+            w = np.kron(np.eye(3, 2), np.eye(4, 3))
+            st = BipartiteState(3, 4, w @ st.rho @ w.T, normalized=True)
+        sc, _ = support_compress(st)
+        calls = []
+        original = sepcheck.state.range_basis
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sepcheck.state, "range_basis", counting)
+        again, (va, vb) = support_compress(sc)
+        assert again is sc and calls == []
+        assert np.array_equal(va, np.eye(2)) and np.array_equal(vb, np.eye(3))
+        support_compress(sc, Tolerances(rank_rel=1e-8))
+        assert len(calls) == 2
+        support_compress(swap_parties(sc))
+        assert len(calls) == 4
 
 
 class TestSwapAndCanonicalize:

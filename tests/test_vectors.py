@@ -411,6 +411,17 @@ class TestRouting:
         assert products == []
         assert 1 <= len(solves) and len(roots) <= len(solves)
 
+    def test_accurate_roots_are_not_polished_again(self, monkeypatch):
+        # the resultant's roots of 3x3 4-term block systems are mostly
+        # within the polish floor already, so the ten searches together make
+        # few Gauss-Newton steps
+        calls = _count_linalg(monkeypatch, "pinv")
+        for seed in range(10):
+            st, dec = random_separable(GeneratorSpec(dims=(3, 3), term_count=4, seed=seed))
+            es = enumerate_eligible(st, seed=seed)
+            assert match_planted(es.vectors, [pv for _, pv in dec.terms]) == 4
+        assert len(calls) <= 8
+
     def test_three_unknowns_stay_on_the_cascade(self, monkeypatch):
         # a 4x4 block system; the first elimination is enough to see the route
         class Routed(Exception):
@@ -636,14 +647,28 @@ class TestPolish:
             e, fn = alpha / np.linalg.norm(alpha), f / np.linalg.norm(f)
             assert np.max(np.abs(constraint_matrix(kd, e) @ fn)) <= 1e-12
 
+    def test_planted_root_takes_no_step(self, monkeypatch):
+        # a start already at a root is within the polish floor, so it is
+        # kept as it is, with no stacked least-squares solve
+        st, dec = random_separable(GeneratorSpec(dims=(3, 4), term_count=7, seed=11))
+        kd = kernel_data(st)
+        calls = _count_linalg(monkeypatch, "pinv")
+        for _, pv in dec.terms:
+            start = pv.e / pv.e[0]
+            args = _decomposed(kd, start)
+            calls.clear()
+            (alpha,), _ = _polish_alpha(*args)
+            assert calls == []
+            assert np.array_equal(alpha, start)
+
     def test_random_start_is_rejected(self):
         # the tiles state has no eligible vector, so no start can reach one
         kd = kernel_data(tiles_upb_state())
         rng = np.random.default_rng(12)
         for _ in range(10):
-            (alpha,), (f,) = _polish_alpha(*_decomposed(kd, haar_vector(3, rng)))
-            assert np.all(np.isfinite(alpha)) and np.all(np.isfinite(f))
-            assert _accept_candidate(kd, alpha, f, DEFAULT_TOL) is None
+            alphas, fs = _polish_alpha(*_decomposed(kd, haar_vector(3, rng)))
+            assert np.all(np.isfinite(alphas)) and np.all(np.isfinite(fs))
+            assert _accept_candidate(kd, alphas, fs, DEFAULT_TOL) == []
 
     def test_cascade_polish_cost_2x4_k6(self, monkeypatch):
         # an underdetermined coupled system, solved by the cascade, whose
@@ -765,9 +790,35 @@ class TestAcceptCandidate:
             res = constraint_matrix(kd, e) @ f
             blocks = [np.linalg.norm(res[:kd.k]), np.linalg.norm(res[kd.k:])]
             assert blocks == pytest.approx(_range_distances(st, e, f), abs=1e-12)
-        for _, pv in dec.terms:
-            hit = _accept_candidate(kd, pv.e, pv.f, DEFAULT_TOL)
-            assert hit is not None and hit[1] <= 1e-12
+        hits = _accept_candidate(kd, np.array([pv.e for _, pv in dec.terms]),
+                                 np.array([pv.f for _, pv in dec.terms]), DEFAULT_TOL)
+        assert len(hits) == spec.term_count and max(key for _, key in hits) <= 1e-12
+
+    @pytest.mark.parametrize("spec", STATES, ids=["3x3_k4", "2x4_k5"])
+    def test_stack_equals_rows(self, spec):
+        # one stacked call decides each candidate as a call on its row alone:
+        # planted vectors, random ones and vectors in one range only
+        st, dec = random_separable(spec)
+        kd = kernel_data(st)
+        rng = np.random.default_rng(spec.seed)
+        alphas = [pv.e for _, pv in dec.terms]
+        fs = [pv.f for _, pv in dec.terms]
+        for _ in range(5):
+            e = haar_vector(spec.dims[0], rng)
+            a = constraint_matrix(kd, e)
+            alphas += [e, e, e]
+            fs += [haar_vector(spec.dims[1], rng), _null_bob(a[:kd.k]), _null_bob(a[kd.k:])]
+        order = rng.permutation(len(alphas))
+        alphas, fs = np.array(alphas)[order], np.array(fs)[order]
+        stacked = _accept_candidate(kd, alphas, fs, DEFAULT_TOL)
+        rows = [hit for a, f in zip(alphas, fs)
+                for hit in _accept_candidate(kd, a[None], f[None], DEFAULT_TOL)]
+        assert len(stacked) == len(rows) == spec.term_count
+        for (pv, key), (pv_row, key_row) in zip(stacked, rows):
+            assert np.array_equal(pv.e, pv_row.e) and np.array_equal(pv.f, pv_row.f)
+            assert key == key_row
+            # the key is the one-candidate residual, up to summation order
+            assert key == pytest.approx(np.max(np.abs(constraint_matrix(kd, pv.e) @ pv.f)), abs=1e-15)
 
     def test_one_range_alone_is_rejected(self):
         # on 2x4 with 5 terms each kernel block has 3 rows on 4 Bob
@@ -784,12 +835,12 @@ class TestAcceptCandidate:
             f = _null_bob(a[:kd.k])
             dist, dist_ta = _range_distances(st, e, f)
             assert dist <= 1e-12 and dist_ta > DEFAULT_TOL.root_abs
-            assert _accept_candidate(kd, e, f, DEFAULT_TOL) is None
+            assert _accept_candidate(kd, e[None], f[None], DEFAULT_TOL) == []
             # the converse
             f = _null_bob(a[kd.k:])
             dist, dist_ta = _range_distances(st, e, f)
             assert dist_ta <= 1e-12 and dist > DEFAULT_TOL.root_abs
-            assert _accept_candidate(kd, e, f, DEFAULT_TOL) is None
+            assert _accept_candidate(kd, e[None], f[None], DEFAULT_TOL) == []
 
 
 class TestScalarAlice:
