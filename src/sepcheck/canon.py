@@ -8,11 +8,14 @@ a is orthogonal to some e_i, a proper algebraic set that a Haar draw misses
 with probability one.  With such an a in the last Alice slot and Bob
 filtered, the state takes the form Z^dag Z with Z = [C_1, ..., C_{M-1}, I],
 where the C_k, read from one Alice block row, are a commuting family of
-normal matrices; their joint eigenvectors yield the N terms.  That is the
-only route: there is no subtraction fallback, and an input on which every
-draw fails is not decomposed.  ``joint_diagonalize`` tests the family only
-through its result, ``lift_decomposition`` checks the terms against the
-input, and every breakdown is a DecompositionFailed.
+normal matrices; their joint eigenvectors yield the N terms.  For M = 1
+the family is empty and the filtered state is the identity, so the same
+construction gives the terms with the identity as eigenbasis.  That is the
+only route, for every M: there is no subtraction fallback and no separate
+M = 1 case, and an input on which every draw fails is not decomposed.
+``joint_diagonalize`` tests the family only through its result,
+``lift_decomposition`` checks the terms against the input, and every
+breakdown is a DecompositionFailed.
 """
 
 from __future__ import annotations
@@ -21,12 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DecompositionFailed,
-    DirectionNotFound,
-    NotPPT,
-    RankTooLow,
-)
+from .errors import DirectionNotFound, NotPPT, RankTooLow
 from .numlin import (
     DEFAULT_TOL,
     Tolerances,
@@ -35,7 +33,6 @@ from .numlin import (
     inv_sqrt_on_range,
     joint_diagonalize,
     kernel_basis,
-    pseudo_inverse,
 )
 from .state import (
     BipartiteState,
@@ -147,19 +144,23 @@ def to_canonical_form(
     return CanonicalForm(w, u, tuple(w @ c @ w for c in row[:-1]))
 
 
-def _terms_from_canonical(
-    cf: CanonicalForm, n: int, tol: Tolerances
-) -> list[tuple[float, ProductVector]]:
+def _terms_from_canonical(cf: CanonicalForm, tol: Tolerances) -> list[tuple[float, ProductVector]]:
     """The N product terms from the joint eigenbasis of the blocks.
 
-    Each term is handed over unnormalized with weight one, in the order
-    ``joint_diagonalize`` leaves them: ``state.canonicalize`` normalizes
-    the vectors, folds their norms into the weight and orders the terms.
+    Term i is (u_1 .. u_M)(conj(c_i), 1) (x) W^-1 v_i, with v_i the i-th
+    joint eigenvector and c_i its eigenvalues.  An empty family (M = 1)
+    has the identity as eigenbasis and no eigenvalues.  W is positive
+    definite, since ``to_canonical_form`` has passed the rank of its
+    block, so one solve maps the eigenbasis back.  Each term is handed
+    over unnormalized with weight one, in the order ``joint_diagonalize``
+    leaves them: ``state.canonicalize`` normalizes the vectors, folds their
+    norms into the weight and orders the terms.
     """
-    w_inv = pseudo_inverse(cf.filter, tol)  # filter is PD on the full space
-    u_b, table = joint_diagonalize(list(cf.blocks), tol)
-    return [(1.0, ProductVector(cf.alice_basis @ np.concatenate([table[i].conj(), [1.0]]),
-                                w_inv @ u_b[:, i]))
+    n = len(cf.filter)
+    u_b, table = (joint_diagonalize(list(cf.blocks), tol) if cf.blocks
+                  else (np.eye(n, dtype=complex), np.zeros((n, 0), dtype=complex)))
+    f = np.linalg.solve(cf.filter, u_b)
+    return [(1.0, ProductVector(cf.alice_basis @ np.concatenate([table[i].conj(), [1.0]]), f[:, i]))
             for i in range(n)]
 
 
@@ -171,8 +172,8 @@ def decompose_rank_n(
     One pass in one frame, the :func:`search_frame` of ``s`` (compressed,
     Alice on the smaller side: the paper's M <= N): check PPT and that the
     rank, read from the state's spectrum, equals Bob's dimension N, build
-    the terms (one eigh when M = 1, else a full-rank direction, the
-    canonical form and its joint eigenbasis), and lift once:
+    the terms from a full-rank direction, the canonical form and its joint
+    eigenbasis (for every M, M = 1 included), and lift once:
     :func:`lift_decomposition` puts the terms back in the input's party
     order and space and checks them against ``s`` itself within
     ``residual_abs * max(1, ||rho||_F)``.
@@ -181,7 +182,7 @@ def decompose_rank_n(
     """
     rng = np.random.default_rng(seed)
     sc, (va, vb) = search_frame(s, tol)
-    m, n = sc.dim_a, sc.dim_b
+    n = sc.dim_b
     if not is_ppt(sc, tol):
         raise NotPPT("the state has a negative partial transpose")
     r = _rank(np.abs(sc.eigenvalues), tol)
@@ -190,13 +191,5 @@ def decompose_rank_n(
     if r > n:
         raise ValueError(f"rank {r} exceeds the supported Bob dimension {n}")
 
-    if m == 1:
-        w, v = np.linalg.eigh(sc.rho)
-        if w[0] <= tol.psd_floor(sc.trace):
-            raise DecompositionFailed("rank-N state produced a negligible eigenvalue")
-        terms = [(float(w[i]), ProductVector(np.ones(1, dtype=complex), v[:, i]))
-                 for i in range(n)]
-    else:
-        cf = to_canonical_form(sc, find_full_rank_direction(sc, tol, rng), tol)
-        terms = _terms_from_canonical(cf, n, tol)
-    return lift_decomposition(terms, va, vb, s, tol)
+    cf = to_canonical_form(sc, find_full_rank_direction(sc, tol, rng), tol)
+    return lift_decomposition(_terms_from_canonical(cf, tol), va, vb, s, tol)

@@ -417,11 +417,11 @@ def separability_check(
         diag["method"] = "rank_n_decomposition"
         try:
             cert = decompose_rank_n(s, tol, rng)
-        except (NotPPT, RankTooLow) as exc:
-            return Verdict(ENTANGLED, type(exc).__name__, None, diag)
-        except DecompositionFailed as exc:
+        except (NotPPT, RankTooLow, DecompositionFailed) as exc:
             # no certificate at this tolerance, but no evidence of
-            # entanglement either; the cause goes with the verdict
+            # entanglement either: PPT and the rank passed the screens above,
+            # so a gate that disagrees sits at a tolerance edge.  The cause
+            # goes with the verdict
             diag["rank_n_error"] = str(exc)
             return Verdict(INCONCLUSIVE, "BudgetExhausted", None, diag)
         return Verdict(SEPARABLE, None, cert, diag)

@@ -205,6 +205,28 @@ class TestDecomposeRankN:
         dec = decompose_rank_n(st, DEFAULT_TOL, seed=0)
         assert len(dec.terms) == 1
 
+    @pytest.mark.parametrize("dims", [(1, 3), (3, 1)], ids=["1x3", "3x1"])
+    def test_scalar_side_takes_the_canonical_construction(self, monkeypatch, dims):
+        # one Alice dimension in the search frame: an empty block family,
+        # so the joint eigenbasis is the identity and the terms are W^-1's
+        # columns, from the same direction and canonical form as any M
+        import sepcheck.canon
+
+        calls = []
+        original = sepcheck.canon.to_canonical_form
+
+        def counting(*args, **kwargs):
+            cf = original(*args, **kwargs)
+            calls.append(cf)
+            return cf
+
+        monkeypatch.setattr(sepcheck.canon, "to_canonical_form", counting)
+        st, _ = random_separable(GeneratorSpec(dims=dims, term_count=3, seed=19))
+        dec = decompose_rank_n(st, DEFAULT_TOL, seed=19)
+        assert [len(cf.blocks) for cf in calls] == [0]
+        assert len(dec.terms) == 3
+        assert dec.residual <= 1e-8
+
     def test_swapped_dims(self):
         # Alice larger than Bob: handled by the internal party swap
         st, _ = random_separable(GeneratorSpec(dims=(4, 2), term_count=4, seed=14))

@@ -495,12 +495,8 @@ class TestPipelineEdges:
             residual = frob(st.rho - reconstruction(verdict.certificate.terms, 3, 3))
             assert residual <= DEFAULT_TOL.residual_abs * max(1.0, frob(st.rho))
 
-    def test_empty_set_on_an_unresolved_spectrum_is_inconclusive(self):
-        # a separable near-product mixture whose smallest kept eigenvalue is
-        # 2.5e-5 of the largest: the kernels are known only to rank_rel over
-        # that gap, coarser than root_abs, so the empty exhaustive set it
-        # gets rules out nothing (it used to answer Entangled here)
-        st = near_product_mixture((3, 3), 4, 1)
+    @staticmethod
+    def _assert_empty_set_is_unresolved(st):
         for seed in range(3):
             verdict = separability_check(st, seed=seed)
             assert verdict.diagnostics["method"] == "eligible_vectors"
@@ -509,6 +505,22 @@ class TestPipelineEdges:
             assert (verdict.status, verdict.reason) == ("Inconclusive", "BudgetExhausted")
             assert verdict.diagnostics["eligible_error"].startswith(
                 "spectral gap 2.501e-05 below rank_rel / root_abs = 1.000e-03")
+
+    def test_empty_set_on_an_unresolved_spectrum_is_inconclusive(self):
+        # a separable near-product mixture whose smallest kept eigenvalue is
+        # 2.5e-5 of the largest: the kernels are known only to rank_rel over
+        # that gap, coarser than root_abs, so the empty exhaustive set it
+        # gets rules out nothing (it used to answer Entangled here)
+        self._assert_empty_set_is_unresolved(near_product_mixture((3, 3), 4, 1))
+
+    def test_injected_empty_solve_on_an_unresolved_spectrum_is_inconclusive(self, monkeypatch):
+        # the same guard without relying on the solver's miss: the resultant
+        # is made to claim an exhaustive empty set, so a solver that finds
+        # this state's vectors still leaves the guard covered
+        import sepcheck.vectors
+
+        monkeypatch.setattr(sepcheck.vectors, "_solve_by_resultant", lambda system: ([], True, 0))
+        self._assert_empty_set_is_unresolved(near_product_mixture((3, 3), 4, 1))
 
     def test_near_product_sweep_on_the_tracked_family(self):
         # 2x4 with five terms: the eligible search path-tracks the coupled
@@ -537,6 +549,25 @@ class TestPipelineEdges:
         assert (verdict.status, verdict.reason) == ("Inconclusive", "BudgetExhausted")
         assert verdict.diagnostics["method"] == "rank_n_decomposition"
         assert verdict.diagnostics["rank_n_error"] == "no full-rank direction"
+
+    @pytest.mark.parametrize("error", ["NotPPT", "RankTooLow"])
+    def test_a_decomposition_gate_is_no_evidence_of_entanglement(self, monkeypatch, error):
+        # the pipeline has screened PPT and the rank before the rank-N stage,
+        # so a gate of the decomposition that disagrees is a tolerance edge:
+        # the verdict is undecided and carries the cause, never Entangled
+        # without a witness
+        import sepcheck.canon
+        import sepcheck.errors
+
+        def fail(*args, **kwargs):
+            raise getattr(sepcheck.errors, error)("gate disagrees")
+
+        monkeypatch.setattr(sepcheck.canon, "decompose_rank_n", fail)
+        st, _ = random_separable(GeneratorSpec(dims=(3, 3), term_count=3, seed=12))
+        verdict = separability_check(st, seed=0)
+        assert (verdict.status, verdict.reason) == ("Inconclusive", "BudgetExhausted")
+        assert verdict.diagnostics["method"] == "rank_n_decomposition"
+        assert verdict.diagnostics["rank_n_error"] == "gate disagrees"
 
     def test_rank_below_local_detected_under_loose_psd(self):
         # a near-product entangled pure state whose partial-transpose
@@ -651,6 +682,28 @@ class TestPipelineEdges:
         assert verdict.diagnostics["method"] == "eligible_vectors"
         assert verdict.status == "Separable"
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("k, method", [(3, "rank_n_decomposition"), (4, "eligible_vectors")])
+    def test_verdict_reads_each_reduced_operator_once(self, monkeypatch, k, method):
+        # the compression decomposes both reduced operators, and the report's
+        # local ranks are the widths of its isometries, so neither operator is
+        # formed a second time
+        import sepcheck.state
+
+        calls = []
+        for name in ("reduced_a", "reduced_b"):
+            original = getattr(sepcheck.state, name)
+
+            def counting(s, _name=name, _original=original):
+                calls.append(_name)
+                return _original(s)
+
+            monkeypatch.setattr(sepcheck.state, name, counting)
+        st, _ = random_separable(GeneratorSpec(dims=(3, 3), term_count=k, seed=k))
+        verdict = separability_check(st, seed=k)
+        assert (verdict.diagnostics["method"], verdict.status) == (method, "Separable")
+        assert (verdict.diagnostics["local_rank_a"], verdict.diagnostics["local_rank_b"]) == (3, 3)
+        assert sorted(calls) == ["reduced_a", "reduced_b"]
 
     def test_bsa_nonconvergence_flag(self):
         st, dec = random_separable(GeneratorSpec(dims=(3, 3), term_count=5, seed=41))

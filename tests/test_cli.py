@@ -12,6 +12,7 @@ from sepcheck.cli import _load, build_parser, main
 from sepcheck.fixtures import GeneratorSpec, generate, random_separable, werner_family
 from sepcheck.numlin import Tolerances
 from sepcheck.state import (
+    BipartiteState,
     decomposition_from_json,
     load_state,
     partial_transpose,
@@ -101,6 +102,18 @@ class TestInspect:
         report = json.loads(capsys.readouterr().out)
         assert report["ppt"] is False
         assert report["rank_ta"] == np.linalg.matrix_rank(partial_transpose(st)) == 4
+
+    def test_local_ranks_of_a_state_with_a_smaller_support(self, tmp_path, capsys):
+        # a 2x3 state carried into 3x4: the local ranks are the widths of
+        # the compression's isometries, the singular-value ranks of the two
+        # reduced operators
+        st, _ = random_separable(GeneratorSpec(dims=(2, 3), term_count=3, seed=11))
+        lift = np.kron(np.eye(3, 2), np.eye(4, 3))
+        path = tmp_path / "embedded.json"
+        write_json(state_to_json(BipartiteState(3, 4, lift @ st.rho @ lift.T, normalized=True)), path)
+        assert main(["inspect", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["local_rank_a"], report["local_rank_b"]) == (2, 3)
 
     def test_malformed_input_exits_3(self, tmp_path):
         path = tmp_path / "bad.json"

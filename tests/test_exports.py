@@ -183,3 +183,36 @@ def test_only_the_acceptance_test_reads_root_abs_in_the_search():
     tree = ast.parse((Path(sepcheck.__file__).parent / "vectors.py").read_text())
     readers = _functions_using(tree, lambda n: isinstance(n, ast.Attribute) and n.attr == "root_abs")
     assert readers == {"_accept_candidate", "_dedupe"}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # an import that nothing reads is dead code left behind by a deletion;
+    # a line marked ``# noqa: F401`` keeps a module loaded on purpose, and
+    # a name listed in __all__ is a re-export
+    unused = []
+    for path in sorted(Path(sepcheck.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+                 for elt in node.value.elts}
+        lines = source.splitlines()
+        unused += [f"{path.name}:{alias.lineno}:{alias.asname or alias.name}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for alias in node.names
+                   if (alias.asname or alias.name).split(".")[0] not in used
+                   and "# noqa: F401" not in lines[alias.lineno - 1]]
+    assert unused == []
+
+
+def test_the_rank_n_stage_inverts_no_filter_by_eigendecomposition():
+    # the canonical filter W is positive definite once its block has passed
+    # the rank gate, so the terms map back through one solve with W, not a
+    # pseudo-inverse (a second eigendecomposition of the block W came from)
+    tree = ast.parse((Path(sepcheck.__file__).parent / "canon.py").read_text())
+    calls = [node.lineno for node in ast.walk(tree)
+             if getattr(node, "id", getattr(node, "attr", None)) == "pseudo_inverse"]
+    assert calls == []

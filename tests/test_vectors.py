@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import block_solves, match_planted
+from conftest import block_solves, match_planted, near_product_mixture
 from sepcheck.certify import separability_check
 from sepcheck.errors import NonGeneric, RankSumTooHigh
 from sepcheck.fixtures import (
@@ -886,6 +886,43 @@ class TestOneBlockSystem:
         assert (verdict.status, verdict.reason) == ("Inconclusive", "BudgetExhausted")
         assert verdict.diagnostics["eligible_count"] == 4
         assert "reconstruction residual" in verdict.diagnostics["eligible_error"]
+
+
+class TestBlockLoopFallback:
+    # near-product 3x5 with 8 terms: both kernels are large enough for a
+    # block system, but each one's resultant vanishes identically, so the
+    # search falls through to the coupled system and the tracker finds the
+    # whole set.  The benchmark pool never takes this route.
+
+    def test_vanished_block_resultants_fall_back_to_tracking(self, monkeypatch):
+        import sepcheck.vectors
+
+        outcomes = []
+        solve = sepcheck.vectors._solve_by_resultant
+
+        def recording(system):
+            try:
+                result = solve(system)
+            except NonGeneric as exc:
+                outcomes.append(str(exc))
+                raise
+            outcomes.append("solved")
+            return result
+
+        tracked = []
+        track = sepcheck.vectors.track_coupled
+
+        def counting(*args, **kwargs):
+            tracked.append(args)
+            return track(*args, **kwargs)
+
+        monkeypatch.setattr(sepcheck.vectors, "_solve_by_resultant", recording)
+        monkeypatch.setattr(sepcheck.vectors, "track_coupled", counting)
+        verdict = separability_check(near_product_mixture((3, 5), 8, 0), seed=0)
+        assert outcomes == ["resultant vanished identically"] * 2
+        assert len(tracked) == 1
+        assert verdict.status == "Separable"
+        assert verdict.diagnostics["eligible_count"] == 8
 
 
 def _swapped(dims, k, seed):
